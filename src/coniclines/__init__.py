@@ -1,6 +1,6 @@
 """Exact analysis of conic-line arrangements in the complex projective plane.
 
-Rational arithmetic end to end: incidence combinatorics, linear systems
+Exact integer arithmetic end to end: incidence combinatorics, linear systems
 through prescribed points, connected numbers of double covers, candidate
 Zariski-pair certificates, and realization-space minimality reports.
 """
@@ -28,15 +28,7 @@ from .moduli import (
     minimality_check,
     n_value,
 )
-from .poly import (
-    HomPoly,
-    ProjPoint,
-    evaluate,
-    monomial_row,
-    monomials,
-    multiplication_image,
-    multiply,
-)
+from .poly import HomPoly, ProjPoint, monomial_row, monomials, multiplication_image
 from .splitting import (
     LinearSystem,
     SplitHypothesisError,
@@ -78,7 +70,6 @@ __all__ = [
     "connected_number_with_witness",
     "connectivity_certificate",
     "equivalences",
-    "evaluate",
     "in_span",
     "intersect_line_conic",
     "intersect_lines",
@@ -88,7 +79,6 @@ __all__ = [
     "monomial_row",
     "monomials",
     "multiplication_image",
-    "multiply",
     "n_value",
     "parse",
     "rank",

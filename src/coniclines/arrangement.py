@@ -50,19 +50,16 @@ def conic_form(coeffs: Iterable) -> HomPoly:
     return HomPoly.from_terms(2, dict(zip(CONIC_EXPONENTS, vals))).primitive()
 
 
-def conic_matrix_determinant(form: HomPoly) -> Fraction:
-    """Determinant of the symmetric matrix of a quadratic form.
+def conic_matrix_determinant(form: HomPoly) -> int:
+    """Four times the determinant of the symmetric matrix of a quadratic form.
 
-    Nonzero exactly when the conic is smooth; a product of two lines
-    (e.g. x^2 - y^2) has determinant 0.
+    The matrix has the cross-term coefficients halved off its diagonal, so
+    the factor 4 keeps the value an integer for an integer form.  Nonzero
+    exactly when the conic is smooth; a product of two lines (e.g.
+    x^2 - y^2) gives 0.
     """
-    a = form.coefficient((2, 0, 0))
-    b = form.coefficient((0, 2, 0))
-    c = form.coefficient((0, 0, 2))
-    d = form.coefficient((1, 1, 0)) / 2
-    e = form.coefficient((1, 0, 1)) / 2
-    f = form.coefficient((0, 1, 1)) / 2
-    return a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+    a, b, c, d, e, f = (form.coefficient(expo) for expo in CONIC_EXPONENTS)
+    return 4 * a * b * c + d * e * f - a * f * f - b * e * e - c * d * d
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,9 @@ class Component:
             raise ValueError(f"{self.kind} must have degree {expected}")
         if self.form.is_zero():
             raise ValueError("component form is identically zero")
+        # every stored form is primitive-integer, whoever built it: all later
+        # arithmetic is on ints, and proportional components compare equal
+        object.__setattr__(self, "form", self.form.primitive())
         if self.kind == "conic" and conic_matrix_determinant(self.form) == 0:
             raise ValueError(f"conic {self.label} is singular (not smooth)")
 

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .arrangement import Arrangement, ParseError, parse
+from .arrangement import Arrangement, parse
 from .incidence import (
     ConjugatePair,
     bezout_check,
@@ -40,13 +40,8 @@ def _load(path: str) -> Arrangement:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 0)
-    try:
-        return parse(text)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), 0)
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
+    return parse(text)
 
 
 def _branch_set(labels, a: Arrangement | None = None) -> str:
@@ -247,7 +242,11 @@ def cmd_render(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     svg = render_svg(a, cfg)
-    Path(args.output).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.output).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -303,10 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,39 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import Arrangement, Component
 from .linalg import QMatrix, kernel_basis
 from .poly import ProjPoint
-
-
-def is_rational_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    return (
-        math.isqrt(q.numerator) ** 2 == q.numerator
-        and math.isqrt(q.denominator) ** 2 == q.denominator
-    )
-
-
-def squarefree_part(q: Fraction) -> int:
-    """Squarefree integer representing q modulo nonzero rational squares."""
-    if q == 0:
-        return 0
-    n = q.numerator * q.denominator
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-        if n % d == 0:
-            out *= d
-            n //= d
-        d += 1
-    return sign * out * n
 
 
 @dataclass(frozen=True)
@@ -67,7 +38,7 @@ class ConjugatePair:
     it is well defined up to a nonzero square factor.
     """
 
-    discriminant: Fraction
+    discriminant: int
     line: str
     conic: str
 
@@ -122,20 +93,18 @@ def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
     B = q.evaluate_triple(mixed) - A - C
     disc = B * B - 4 * A * C
 
-    def point_at(s: Fraction, t: Fraction) -> ProjPoint:
+    def point_at(s: int, t: int) -> ProjPoint:
         return ProjPoint(*(s * a + t * b for a, b in zip(p0, p1)))
 
     if disc == 0:
         if A == 0:
             # restriction is C t^2 with C != 0: double root at t = 0
             return Tangent(ProjPoint(*p0))
-        return Tangent(point_at(Fraction(-B), Fraction(2 * A)))
-    if is_rational_square(disc):
-        root = Fraction(
-            math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-        )
+        return Tangent(point_at(-B, 2 * A))
+    if disc > 0 and math.isqrt(disc) ** 2 == disc:
+        root = math.isqrt(disc)
         if A == 0:
-            pts = [point_at(Fraction(1), Fraction(0)), point_at(-C, B)]
+            pts = [point_at(1, 0), point_at(-C, B)]
         else:
             pts = [
                 point_at(-B + root, 2 * A),
@@ -451,7 +420,3 @@ def equivalences(
     extend(0)
     results.sort(key=lambda mp: tuple(mp[l] for l in labels1))
     return results
-
-
-def equivalent(c1: Combinatorics, c2: Combinatorics) -> bool:
-    return bool(equivalences(c1, c2, find_all=False))

@@ -1,52 +1,51 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Everything downstream (evaluation matrices, linear systems of curves,
 divisibility subspaces) reduces to rank / kernel / subspace computations
-here.  Elimination is fraction-free (Bareiss) on integer-scaled rows, so
-intermediate entries stay bounded minors and no rounding ever happens.
-Pivoting is first-nonzero-in-column-order: determinism matters, numerical
-stability does not.
+here.  Every form, point and kernel vector in the package is already
+primitive-integer, so matrices hold plain ints; rational rows are cleared
+of denominators once, on entry, since row scaling changes neither rank nor
+kernel.  Elimination is fraction-free (Bareiss), and so is kernel
+back-substitution: intermediate entries stay integers and no rounding ever
+happens.  Pivoting is first-nonzero-in-column-order: determinism matters,
+numerical stability does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-QVector = tuple[Fraction, ...]
+QVector = tuple[int, ...]
 
 
-def as_fractions(row: Iterable) -> QVector:
-    return tuple(Fraction(e) for e in row)
+def _integer_multiple(vec: Iterable) -> QVector:
+    """The vector scaled by the lcm of its denominators: a tuple of ints."""
+    vec = tuple(vec)
+    den = math.lcm(*(e.denominator for e in vec))
+    return tuple(e.numerator * (den // e.denominator) for e in vec)
 
 
 def primitive(vec: Iterable) -> QVector:
     """Scale a rational vector to coprime integers with first nonzero entry positive.
 
-    The zero vector is returned unchanged.  Used to canonicalize kernel
-    vectors and coefficient vectors for reproducible output.
+    The zero vector comes back as ints, otherwise unchanged.  Used to
+    canonicalize kernel vectors, coefficient vectors and point coordinates
+    for reproducible output.
     """
-    fr = as_fractions(vec)
-    if not any(fr):
-        return fr
-    den = math.lcm(*(e.denominator for e in fr))
-    ints = [int(e * den) for e in fr]
+    ints = _integer_multiple(vec)
     g = math.gcd(*ints)
-    sign = next(1 if v > 0 else -1 for v in ints if v != 0)
-    return tuple(Fraction(v * sign, g) for v in ints)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    if g == 0:
+        return ints
+    if next(v for v in ints if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense rational matrix, row-major, immutable."""
+    """Dense integer matrix, row-major, immutable."""
 
     rows: int
     cols: int
@@ -60,41 +59,18 @@ class QMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "QMatrix":
-        ent = tuple(as_fractions(r) for r in rows)
+        """Matrix of rational rows, each scaled once to clear its denominators."""
+        ent = tuple(_integer_multiple(r) for r in rows)
         if cols is None:
             if not ent:
                 raise ValueError("cannot infer column count of an empty matrix")
             cols = len(ent[0])
         return cls(len(ent), cols, ent)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n
-        )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
-
-    def row(self, i: int) -> QVector:
-        return self.entries[i]
-
-    def column(self, j: int) -> QVector:
-        return tuple(r[j] for r in self.entries)
-
-    def mul_vector(self, v: Sequence[Fraction]) -> QVector:
-        if len(v) != self.cols:
-            raise ValueError(f"dimension mismatch: {self.cols} vs {len(v)}")
-        return tuple(dot(r, v) for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
 
 @dataclass(frozen=True)
 class QVectorBasis:
-    """A list of linearly independent rational vectors spanning a subspace."""
+    """A list of linearly independent integer vectors spanning a subspace."""
 
     ambient_dim: int
     vectors: tuple[QVector, ...]
@@ -107,28 +83,16 @@ class QVectorBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def is_independent(self) -> bool:
-        if not self.vectors:
-            return True
-        return rank(QMatrix.from_rows(self.vectors, cols=self.ambient_dim)) == self.dim
 
-
-def _integer_rows(m: QMatrix) -> list[list[int]]:
-    # Row scaling does not change rank or kernel; clear denominators per row.
-    out = []
-    for row in m.entries:
-        den = math.lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * den) for e in row])
-    return out
-
-
-def _ff_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free (Bareiss) row echelon.
+def _ff_echelon(m: QMatrix) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of m by fraction-free (Bareiss) elimination.
 
     Returns the nonzero echelon rows and the pivot column indices.  The
     two-step update keeps every intermediate entry a minor of the input,
     so the integer division is exact.
     """
+    rows = [list(r) for r in m.entries]
+    cols = m.cols
     pivots: list[int] = []
     nrows = len(rows)
     r = 0
@@ -154,7 +118,7 @@ def _ff_echelon(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list
 
 def rank(m: QMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    _, pivots = _ff_echelon(_integer_rows(m), m.cols)
+    _, pivots = _ff_echelon(m)
     return len(pivots)
 
 
@@ -163,19 +127,27 @@ def kernel_basis(m: QMatrix) -> QVectorBasis:
 
     One basis vector per free column, obtained by setting that free
     variable to 1 and back-substituting; each vector is normalized to
-    primitive integer form with first nonzero entry positive.
+    primitive integer form with first nonzero entry positive.  The partial
+    vector is rescaled whenever a pivot does not divide its row sum, so
+    back-substitution stays in the integers.
     """
-    ech, pivots = _ff_echelon(_integer_rows(m), m.cols)
+    ech, pivots = _ff_echelon(m)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     vectors = []
     for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+        v = [0] * m.cols
+        v[fc] = 1
         for r in reversed(range(len(pivots))):
             pc = pivots[r]
-            s = sum((Fraction(ech[r][j]) * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
-            v[pc] = -s / ech[r][pc]
+            row = ech[r]
+            s = sum(row[j] * v[j] for j in range(pc + 1, m.cols))
+            piv = row[pc]
+            if s % piv:
+                scale = abs(piv) // math.gcd(s, piv)
+                v = [e * scale for e in v]
+                s *= scale
+            v[pc] = -s // piv
         vectors.append(primitive(v))
     return QVectorBasis(m.cols, tuple(vectors))
 
@@ -200,16 +172,16 @@ def intersect_subspaces(a: QVectorBasis, b: QVectorBasis) -> QVectorBasis:
     vectors = []
     for w in kernel_basis(stacked).vectors:
         combo = [
-            sum((w[k] * a.vectors[k][i] for k in range(a.dim)), Fraction(0))
+            sum(w[k] * a.vectors[k][i] for k in range(a.dim))
             for i in range(a.ambient_dim)
         ]
         vectors.append(primitive(combo))
     return QVectorBasis(a.ambient_dim, tuple(vectors))
 
 
-def in_span(v: Sequence[Fraction], b: QVectorBasis) -> bool:
+def in_span(v: Sequence, b: QVectorBasis) -> bool:
     """True iff v is a rational linear combination of b's vectors."""
-    v = as_fractions(v)
+    v = tuple(v)
     if len(v) != b.ambient_dim:
         raise ValueError(f"dimension mismatch: {len(v)} vs ambient {b.ambient_dim}")
     if not any(v):

@@ -1,4 +1,10 @@
-"""Homogeneous polynomials in x, y, z over the rationals, and projective points.
+"""Homogeneous polynomials in x, y, z, and projective points.
+
+Components and points are primitive-integer, so coefficients and
+evaluations are plain ints throughout the analysis; rational input is
+cleared of denominators where it is parsed.  Arithmetic here keeps
+whatever number type it is given, so the renderer may still feed it
+fractions.
 
 The monomial order is fixed once for the whole package: graded
 lexicographic with x > y > z.  Every coefficient vector, evaluation row
@@ -7,12 +13,11 @@ and report uses it, so exact outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import QVector, QVectorBasis, as_fractions, primitive
+from .linalg import QVector, QVectorBasis, primitive
 
 VARIABLES = ("x", "y", "z")
 
@@ -48,14 +53,10 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, x, y, z):
-        fr = (Fraction(x), Fraction(y), Fraction(z))
-        if not any(fr):
+        coords = primitive((x, y, z))
+        if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        den = math.lcm(*(c.denominator for c in fr))
-        ints = [int(c * den) for c in fr]
-        g = math.gcd(*ints)
-        sign = next(1 if v > 0 else -1 for v in ints if v != 0)
-        object.__setattr__(self, "coords", tuple(v * sign // g for v in ints))
+        object.__setattr__(self, "coords", coords)
 
     @property
     def x(self) -> int:
@@ -88,7 +89,7 @@ class HomPoly:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: Iterable):
-        coeffs = as_fractions(coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != monomial_count(degree):
             raise ValueError(
                 f"degree {degree} needs {monomial_count(degree)} coefficients, got {len(coeffs)}"
@@ -110,11 +111,11 @@ class HomPoly:
     @classmethod
     def from_terms(cls, degree: int, terms: Mapping[tuple[int, int, int], object]) -> "HomPoly":
         index = _monomial_index(degree)
-        coeffs = [Fraction(0)] * monomial_count(degree)
+        coeffs = [0] * monomial_count(degree)
         for expo, coeff in terms.items():
             if expo not in index:
                 raise ValueError(f"exponent {expo} is not of degree {degree}")
-            coeffs[index[expo]] += Fraction(coeff)
+            coeffs[index[expo]] += coeff
         return cls(degree, coeffs)
 
     @classmethod
@@ -132,13 +133,13 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def coefficient(self, expo: tuple[int, int, int]) -> Fraction:
+    def coefficient(self, expo: tuple[int, int, int]):
         return self.coeffs[_monomial_index(self.degree)[expo]]
 
     def coefficient_vector(self) -> QVector:
         return self.coeffs
 
-    def evaluate(self, p: ProjPoint) -> Fraction:
+    def evaluate(self, p: ProjPoint) -> int:
         """Value at the canonical representative of p.
 
         Only the zero / nonzero verdict is representative independent;
@@ -146,16 +147,13 @@ class HomPoly:
         """
         return self.evaluate_triple(p.coords)
 
-    def evaluate_triple(self, coords) -> Fraction:
+    def evaluate_triple(self, coords):
         """Value at a raw coordinate triple, without projective normalization."""
-        px, py, pz = (Fraction(c) for c in coords)
-        total = Fraction(0)
+        px, py, pz = coords
+        total = 0
         for (a, b, c), coeff in self.terms():
             total += coeff * (px**a) * (py**b) * (pz**c)
         return total
-
-    def vanishes_at(self, p: ProjPoint) -> bool:
-        return self.evaluate(p) == 0
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if self.degree != other.degree:
@@ -168,13 +166,12 @@ class HomPoly:
         return HomPoly(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, factor) -> "HomPoly":
-        factor = Fraction(factor)
         return HomPoly(self.degree, [factor * c for c in self.coeffs])
 
     def __mul__(self, other: "HomPoly") -> "HomPoly":
         deg = self.degree + other.degree
         index = _monomial_index(deg)
-        coeffs = [Fraction(0)] * monomial_count(deg)
+        coeffs = [0] * monomial_count(deg)
         for (a1, b1, c1), k1 in self.terms():
             for (a2, b2, c2), k2 in other.terms():
                 coeffs[index[(a1 + a2, b1 + b2, c1 + c2)]] += k1 * k2
@@ -184,7 +181,7 @@ class HomPoly:
         a, b, c = expo
         deg = self.degree + a + b + c
         index = _monomial_index(deg)
-        coeffs = [Fraction(0)] * monomial_count(deg)
+        coeffs = [0] * monomial_count(deg)
         for (a1, b1, c1), k in self.terms():
             coeffs[index[(a1 + a, b1 + b, c1 + c)]] = k
         return HomPoly(deg, coeffs)
@@ -193,7 +190,7 @@ class HomPoly:
         """Coefficients scaled to coprime integers, first nonzero positive."""
         return HomPoly(self.degree, primitive(self.coeffs))
 
-    def leading(self) -> tuple[tuple[int, int, int], Fraction]:
+    def leading(self) -> tuple[tuple[int, int, int], object]:
         for expo, coeff in self.terms():
             return expo, coeff
         raise ValueError("zero polynomial has no leading term")
@@ -203,7 +200,9 @@ class HomPoly:
 
         Long division by a single divisor in the fixed monomial order; for
         one divisor the remainder vanishes exactly on multiples, so the
-        first non-divisible leading term is already conclusive.
+        first non-divisible leading term is already conclusive.  The
+        quotient of two integer forms can be rational, so it is computed
+        with fractions.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero form")
@@ -222,13 +221,10 @@ class HomPoly:
             ea, eb, ec = ra - da, rb - db, rc - dc
             if ea < 0 or eb < 0 or ec < 0:
                 return None
-            term = HomPoly.from_terms(qdeg, {(ea, eb, ec): rcoeff / dcoeff})
+            term = HomPoly.from_terms(qdeg, {(ea, eb, ec): Fraction(rcoeff) / dcoeff})
             quotient = quotient + term
             remainder = remainder - term * divisor
         return quotient
-
-    def divisible_by(self, divisor: "HomPoly") -> bool:
-        return self.try_divide(divisor) is not None
 
     def substitute(self, images: tuple["HomPoly", "HomPoly", "HomPoly"]) -> "HomPoly":
         """Linear change of variables: substitute degree-1 forms for x, y, z."""
@@ -287,22 +283,12 @@ class HomPoly:
         return " ".join(parts)
 
 
-def evaluate(f: HomPoly, p: ProjPoint) -> Fraction:
-    return f.evaluate(p)
-
-
-def multiply(f: HomPoly, g: HomPoly) -> HomPoly:
-    return f * g
-
-
 def monomial_row(n: int, p: ProjPoint) -> QVector:
     """Row of all degree-n monomials evaluated at the canonical representative."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     px, py, pz = p.coords
-    return tuple(
-        Fraction((px**a) * (py**b) * (pz**c)) for a, b, c in monomials(n)
-    )
+    return tuple((px**a) * (py**b) * (pz**c) for a, b, c in monomials(n))
 
 
 def multiplication_image(f: HomPoly, n: int) -> QVectorBasis:
@@ -321,7 +307,3 @@ def multiplication_image(f: HomPoly, n: int) -> QVectorBasis:
         for expo in monomials(n - f.degree)
     )
     return QVectorBasis(monomial_count(n), vectors)
-
-
-def poly_from_vector(n: int, vec: Iterable) -> HomPoly:
-    return HomPoly(n, vec)

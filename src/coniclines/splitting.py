@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import Arrangement, SubCurve
 from .incidence import ConjugatePair, combinatorics, equivalences, singular_points
-from .linalg import QMatrix, QVectorBasis, in_span, kernel_basis
+from .linalg import QMatrix, QVectorBasis, in_span, intersect_subspaces, kernel_basis
 from .poly import HomPoly, ProjPoint, monomial_count, monomial_row, multiplication_image
 
 INVARIANCE_AXIOM = (
@@ -156,70 +155,13 @@ def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> Line
     return LinearSystem(n, pts, kernel_basis(matrix))
 
 
-def _component_subspaces(
-    c: SubCurve, n: int, kernel: QVectorBasis
-) -> list[tuple[str, QVectorBasis]]:
-    from .linalg import intersect_subspaces
-
-    out = []
-    for comp in c.components:
-        if comp.degree > n:
-            continue  # cannot divide a degree-n form, nothing to avoid
-        image = multiplication_image(comp.form, n)
-        out.append((comp.label, intersect_subspaces(kernel, image)))
-    return out
-
-
-def connected_number(
-    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
-) -> int:
-    value, _ = connected_number_with_witness(b, c, report)
-    return value
-
-
-def connected_number_with_witness(
-    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
-) -> tuple[int, HomPoly | None]:
-    """The connected number in {1, 2}, plus a witness curve when it is 2.
-
-    The witness is a degree deg(B)/2 form through all of B ∩ C divisible
-    by no component of C, found by deterministic small random combinations
-    of the kernel basis.
-    """
-    if report is None:
-        report = check_hypotheses(b, c)
-    if not report.ok:
-        raise SplitHypothesisError(
-            "splitting hypotheses violated: " + "; ".join(report.violations)
-        )
-    n = b.degree // 2
-    system = through_points(n, report.intersection_points)
-    kernel = system.kernel
-    if kernel.dim == 0:
-        return 1, None
-    subspaces = _component_subspaces(c, n, kernel)
-    if any(sub.dim == kernel.dim for _, sub in subspaces):
-        # every curve of the system contains that component of C
-        return 1, None
-    witness = _find_witness(n, kernel, [sub for _, sub in subspaces])
-    return 2, witness
-
-
-def _find_witness(
-    n: int, kernel: QVectorBasis, avoid: list[QVectorBasis], seed: int = 0
-) -> HomPoly:
-    rng = random.Random(seed)
-    for _ in range(10_000):
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(kernel.dim)]
-        vec = [
-            sum((coeffs[k] * kernel.vectors[k][i] for k in range(kernel.dim)), Fraction(0))
-            for i in range(kernel.ambient_dim)
-        ]
-        if not any(vec):
-            continue
-        if all(not in_span(vec, sub) for sub in avoid):
-            return HomPoly(n, vec).primitive()
-    raise RuntimeError("no witness found; the subspace data is inconsistent")
+def _component_subspaces(c: SubCurve, n: int, kernel: QVectorBasis) -> list[QVectorBasis]:
+    """Per component of C, the curves of the system that it divides."""
+    return [
+        intersect_subspaces(kernel, multiplication_image(comp.form, n))
+        for comp in c.components
+        if comp.degree <= n  # a higher-degree component divides no degree-n form
+    ]
 
 
 @dataclass(frozen=True)
@@ -236,18 +178,66 @@ class SplitAnalysis:
     witness: HomPoly | None
 
 
-def analyze_split(b: SubCurve, c: SubCurve) -> SplitAnalysis:
-    report = check_hypotheses(b, c)
+def analyze_split(
+    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
+) -> SplitAnalysis:
+    """Hypotheses, linear system, connected number and witness of one split.
+
+    The connected number is 2 when some curve of degree deg(B)/2 through
+    all of B ∩ C is divisible by no component of C, and 1 otherwise.  The
+    witness is such a curve, found by deterministic small random
+    combinations of the kernel basis.
+    """
+    if report is None:
+        report = check_hypotheses(b, c)
     if not report.ok:
         raise SplitHypothesisError(
             "splitting hypotheses violated: " + "; ".join(report.violations)
         )
     n = b.degree // 2
     system = through_points(n, report.intersection_points)
-    value, witness = connected_number_with_witness(b, c, report)
+    kernel = system.kernel
+    value, witness = 1, None
+    if kernel.dim > 0:
+        subspaces = _component_subspaces(c, n, kernel)
+        # a subspace as large as the kernel means every curve of the
+        # system contains that component of C
+        if all(sub.dim < kernel.dim for sub in subspaces):
+            value, witness = 2, _find_witness(n, kernel, subspaces)
     return SplitAnalysis(
         b.labels, c.labels, b.degree, c.degree, report, system, value, witness
     )
+
+
+def connected_number(
+    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
+) -> int:
+    return analyze_split(b, c, report).connected
+
+
+def connected_number_with_witness(
+    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
+) -> tuple[int, HomPoly | None]:
+    """The connected number in {1, 2}, plus a witness curve when it is 2."""
+    analysis = analyze_split(b, c, report)
+    return analysis.connected, analysis.witness
+
+
+def _find_witness(
+    n: int, kernel: QVectorBasis, avoid: list[QVectorBasis], seed: int = 0
+) -> HomPoly:
+    rng = random.Random(seed)
+    for _ in range(10_000):
+        coeffs = [rng.randint(-9, 9) for _ in range(kernel.dim)]
+        vec = [
+            sum(coeffs[k] * kernel.vectors[k][i] for k in range(kernel.dim))
+            for i in range(kernel.ambient_dim)
+        ]
+        if not any(vec):
+            continue
+        if all(not in_span(vec, sub) for sub in avoid):
+            return HomPoly(n, vec).primitive()
+    raise RuntimeError("no witness found; the subspace data is inconsistent")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Arrangement parsing, validation, serialization round trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from coniclines.arrangement import (
     parse,
     serialize,
 )
+from coniclines.poly import HomPoly
 
 from .conftest import random_arrangement
 
@@ -167,3 +169,15 @@ def test_arrangement_validation_direct():
         Arrangement((l1,), {"B": ("L9",)})
     with pytest.raises(ValueError, match="empty"):
         Arrangement((l1,), {"B": ()})
+
+
+def test_proportional_components_rejected_before_normalization():
+    f = HomPoly.from_terms(1, {(1, 0, 0): 1, (0, 1, 0): -2, (0, 0, 1): 3})
+    l1 = Component("L1", "line", f)
+    l2 = Component("L2", "line", f.scale(2))
+    l3 = Component("L3", "line", f.scale(Fraction(-1, 3)))
+    assert l1.form == l2.form == l3.form
+    with pytest.raises(ValueError, match="proportional"):
+        Arrangement((l1, l2), {})
+    with pytest.raises(ValueError, match="proportional"):
+        Arrangement((l1, l3), {})

@@ -232,6 +232,14 @@ def test_render_zero_width_window_exit_1(capsys, tmp_path):
     assert "degenerate" in err
 
 
+def test_render_unwritable_output_exit_1(capsys, tmp_path):
+    out_file = tmp_path / "missing_dir" / "out.svg"
+    code, out, err = run(capsys, "render", P1B1, "-o", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_file}")
+
+
 def test_render_other_charts(capsys, tmp_path):
     for chart in ("x", "y"):
         out_file = tmp_path / f"{chart}.svg"

@@ -36,15 +36,16 @@ def matrices(max_dim=8):
 
 
 def test_rank_identity():
-    assert rank(QMatrix.identity(3)) == 3
+    assert rank(QMatrix.from_rows([[int(i == j) for j in range(3)] for i in range(3)])) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(QMatrix.zero(4, 7)) == 0
+    assert rank(QMatrix.from_rows([[0] * 7] * 4)) == 0
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(QMatrix.identity(3)).dim == 0
+    identity = QMatrix.from_rows([[int(i == j) for j in range(3)] for i in range(3)])
+    assert kernel_basis(identity).dim == 0
 
 
 def test_kernel_of_sum_constraint():
@@ -129,7 +130,7 @@ def test_rank_nullity(rows):
 def test_kernel_vectors_annihilated_exactly(rows):
     m = QMatrix.from_rows(rows)
     for v in kernel_basis(m).vectors:
-        assert all(e == 0 for e in m.mul_vector(v))
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
 @given(matrices(), st.randoms(use_true_random=False))
@@ -172,5 +173,5 @@ def test_randomized_rank_agreement_up_to_12x12():
 def test_basis_independence_assertion():
     e1 = (Fraction(1), Fraction(0), Fraction(0))
     dep = QVectorBasis(3, (e1, (Fraction(2), Fraction(0), Fraction(0))))
-    assert not dep.is_independent()
-    assert QVectorBasis(3, (e1,)).is_independent()
+    assert rank(QMatrix.from_rows(dep.vectors)) < dep.dim
+    assert rank(QMatrix.from_rows((e1,))) == 1

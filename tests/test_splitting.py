@@ -18,7 +18,9 @@ from coniclines.splitting import (
     zariski_certificate,
 )
 
-from .conftest import load, random_invertible_matrix, transform_arrangement
+from coniclines.incidence import ConjugatePair, singular_points
+
+from .conftest import PAIR_FILES, load, random_invertible_matrix, transform_arrangement
 from .oracles import sympy_divides
 
 PAIR1_B1_POINTS = {
@@ -329,3 +331,24 @@ def test_analyze_split_bundle(pair2_b2):
     assert analysis.b_degree == 6 and analysis.c_degree == 3
     assert analysis.system.projective_dimension == 1
     assert analysis.witness is not None
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_bundled_pipeline_is_integer_valued(name):
+    """Forms, points, kernel vectors, witnesses and discriminants are all ints."""
+    a = load(name)
+    values = [v for comp in a.components for v in comp.form.coeffs]
+    conjugates = 0
+    for pt in singular_points(a):
+        if isinstance(pt.location, ConjugatePair):
+            values.append(pt.location.discriminant)
+            conjugates += 1
+        else:
+            values.extend(pt.location.coords)
+    analysis = analyze_split(*split_of(a))
+    values.extend(v for p in analysis.report.intersection_points for v in p.coords)
+    values.extend(v for vec in analysis.system.kernel.vectors for v in vec)
+    if analysis.witness is not None:
+        values.extend(analysis.witness.coeffs)
+    assert conjugates > 0 and analysis.system.kernel.dim > 0
+    assert {type(v) for v in values} == {int}
