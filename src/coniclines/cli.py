@@ -15,6 +15,7 @@ from pathlib import Path
 from .arrangement import Arrangement, parse
 from .incidence import (
     ConjugatePair,
+    LocalType,
     bezout_check,
     combinatorics,
     component_fingerprint,
@@ -115,10 +116,14 @@ def cmd_analyze(args) -> int:
                     )
     if a.components:
         npairs = len(a.components) * (len(a.components) - 1) // 2
-        verdict = "OK" if bezout_check(a) else "FAILED"
+        verdict = "OK" if bezout_check(a, points) else "FAILED"
         out.append(f"bezout check: {verdict} ({npairs} component pairs)")
     print("\n".join(out))
     return EXIT_OK
+
+
+def _count_summary(counts: dict[str, int]) -> str:
+    return ", ".join(f"{v} {k}{'s' if v != 1 else ''}" for k, v in sorted(counts.items()))
 
 
 def cmd_compare(args) -> int:
@@ -126,8 +131,7 @@ def cmd_compare(args) -> int:
     c1, c2 = combinatorics(a1), combinatorics(a2)
     out = [f"comparing {args.file1} and {args.file2}"]
     for name, a, c in ((args.file1, a1, c1), (args.file2, a2, c2)):
-        counts = c.type_counts()
-        summary = ", ".join(f"{v} {k}{'s' if v != 1 else ''}" for k, v in sorted(counts.items()))
+        summary = _count_summary(c.type_counts())
         out.append(f"  {name}: {len(a.components)} components; {summary or 'no singular points'}")
     eqs = equivalences(c1, c2)
     out.append(f"equivalences: {len(eqs)}")
@@ -141,22 +145,9 @@ def cmd_compare(args) -> int:
             _, entries = component_fingerprint(c, conic.label)
             type_counts: dict[str, int] = {}
             for key, _others in entries:
-                kind, branch_count, _sig = key
-                label = {
-                    ("node", 2): "node",
-                    ("tacnode", 2): "tacnode",
-                }.get((kind, branch_count), None)
-                if label is None:
-                    label = (
-                        "ordinary triple point"
-                        if kind == "ordinary" and branch_count == 3
-                        else f"{kind}({branch_count})"
-                    )
+                label = LocalType(*key).display()
                 type_counts[label] = type_counts.get(label, 0) + 1
-            summary = ", ".join(
-                f"{v} {k}{'s' if v != 1 else ''}" for k, v in sorted(type_counts.items())
-            )
-            out.append(f"conic fingerprint of {name}: {summary}")
+            out.append(f"conic fingerprint of {name}: {_count_summary(type_counts)}")
     print("\n".join(out))
     return EXIT_OK
 

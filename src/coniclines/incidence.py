@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .arrangement import Arrangement, Component
 from .linalg import QMatrix, kernel_basis
@@ -181,9 +182,22 @@ class SingularPoint:
     def is_rational(self) -> bool:
         return isinstance(self.location, ProjPoint)
 
+    def mapped_key(self, mapping: dict[str, str]) -> tuple:
+        """Coordinate-free image of the point under a relabelling."""
+        mults = sorted((tuple(sorted((mapping[x], mapping[y]))), m) for (x, y), m in self.pair_mults)
+        return (self.local_type.key, tuple(sorted(mapping[l] for l in self.branches)), tuple(mults))
 
-def _canonical_pair_mults(raw: dict[tuple[str, str], int]) -> PairMults:
-    return tuple(sorted(raw.items()))
+    def restrict(self, keep: frozenset[str]) -> SingularPoint | None:
+        """The same point on the sub-arrangement `keep`; None if it is smooth there."""
+        mults = {pair: m for pair, m in self.pair_mults if keep.issuperset(pair)}
+        return _point(self.location, mults, self.point_count) if mults else None
+
+
+def _point(location, mults: dict[tuple[str, str], int], point_count: int = 1) -> SingularPoint:
+    """The point with these pairwise multiplicities; branches and type follow from them."""
+    branches = frozenset(itertools.chain.from_iterable(mults))
+    local_type = classify(len(branches), tuple(sorted(mults.values())))
+    return SingularPoint(location, branches, tuple(sorted(mults.items())), local_type, point_count)
 
 
 def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
@@ -215,48 +229,30 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
 
     points: list[SingularPoint] = []
     for p in sorted(by_point):
-        mults = by_point[p]
-        branches = frozenset(itertools.chain.from_iterable(mults))
+        pt = _point(p, by_point[p])
         # two components through the same rational point always have their
         # intersection recorded there, so the pair table is complete
-        for x, y in itertools.combinations(sorted(branches), 2):
-            if (x, y) not in mults:
+        for x, y in itertools.combinations(sorted(pt.branches), 2):
+            if (x, y) not in by_point[p]:
                 raise AssertionError(f"missing pair multiplicity for {x}, {y} at {p}")
-        signature = tuple(sorted(mults.values()))
-        points.append(
-            SingularPoint(
-                location=p,
-                branches=branches,
-                pair_mults=_canonical_pair_mults(mults),
-                local_type=classify(len(branches), signature),
-            )
-        )
+        points.append(pt)
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
-        points.append(
-            SingularPoint(
-                location=cj,
-                branches=frozenset((cj.line, cj.conic)),
-                pair_mults=_canonical_pair_mults(
-                    {tuple(sorted((cj.line, cj.conic))): 1}
-                ),
-                local_type=classify(2, (1,)),
-                point_count=2,
-            )
-        )
+        points.append(_point(cj, {tuple(sorted((cj.line, cj.conic))): 1}, point_count=2))
     return tuple(points)
 
 
-def bezout_table(a: Arrangement) -> dict[tuple[str, str], int]:
+def bezout_table(points: tuple[SingularPoint, ...]) -> dict[tuple[str, str], int]:
     """Sum of local multiplicities per component pair (should equal degree products)."""
     sums: dict[tuple[str, str], int] = {}
-    for pt in singular_points(a):
+    for pt in points:
         for pair, m in pt.pair_mults:
             sums[pair] = sums.get(pair, 0) + m * pt.point_count
     return sums
 
 
-def bezout_check(a: Arrangement) -> bool:
-    table = bezout_table(a)
+def bezout_check(a: Arrangement, points: tuple[SingularPoint, ...]) -> bool:
+    """Bezout's theorem for every component pair of a, given its singular points."""
+    table = bezout_table(points)
     for c1, c2 in itertools.combinations(a.components, 2):
         key = tuple(sorted((c1.label, c2.label)))
         if table.get(key, 0) != c1.degree * c2.degree:
@@ -265,43 +261,19 @@ def bezout_check(a: Arrangement) -> bool:
 
 
 @dataclass(frozen=True)
-class PointRecord:
-    """Coordinate-free image of one singular point (conjugate pairs expanded)."""
-
-    local_type: LocalType
-    branches: frozenset[str]
-    pair_mults: PairMults
-
-    def mult(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        for pair, m in self.pair_mults:
-            if pair == key:
-                return m
-        raise KeyError((a, b))
-
-    def mapped_key(self, mapping: dict[str, str]) -> tuple:
-        mapped_mults = tuple(
-            sorted(
-                ((tuple(sorted((mapping[x], mapping[y]))), m) for (x, y), m in self.pair_mults)
-            )
-        )
-        return (
-            self.local_type.key,
-            tuple(sorted(mapping[l] for l in self.branches)),
-            mapped_mults,
-        )
-
-
-@dataclass(frozen=True)
 class Combinatorics:
-    """Abstract incidence structure of an arrangement.
+    """Incidence structure of an arrangement: component degrees and singular points.
 
-    Two projectively equivalent arrangements produce structures equal up
-    to a bijection of labels; `equivalences` searches for those bijections.
+    `points` lists `singular_points` in their canonical order, a conjugate
+    pair twice (once per point).  The points keep their locations, but
+    equivalence reads only labels, local types and multiplicities: two
+    projectively equivalent arrangements give structures equal up to a
+    bijection of labels, which `equivalences` searches for.  A
+    sub-arrangement's structure is the restriction of the whole one.
     """
 
     degrees: tuple[tuple[str, int], ...]
-    points: tuple[PointRecord, ...]
+    points: tuple[SingularPoint, ...]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -320,14 +292,20 @@ class Combinatorics:
             counts[name] = counts.get(name, 0) + 1
         return counts
 
+    def restrict(self, labels: Iterable[str]) -> Combinatorics:
+        """The incidence structure of the sub-arrangement with the given components."""
+        keep = frozenset(labels)
+        restricted = (pt.restrict(keep) for pt in self.points)
+        return Combinatorics(
+            tuple((l, d) for l, d in self.degrees if l in keep),
+            tuple(pt for pt in restricted if pt is not None),
+        )
+
 
 def combinatorics(a: Arrangement) -> Combinatorics:
     degrees = tuple((c.label, c.degree) for c in a.components)
-    records: list[PointRecord] = []
-    for pt in singular_points(a):
-        rec = PointRecord(pt.local_type, pt.branches, pt.pair_mults)
-        records.extend([rec] * pt.point_count)
-    return Combinatorics(degrees, tuple(records))
+    points = [pt for pt in singular_points(a) for _ in range(pt.point_count)]
+    return Combinatorics(degrees, tuple(points))
 
 
 def component_fingerprint(c: Combinatorics, label: str) -> tuple:

@@ -188,6 +188,6 @@ def in_span(v: Sequence, b: QVectorBasis) -> bool:
         return True
     if b.dim == 0:
         return False
-    base = QMatrix.from_rows(b.vectors, cols=b.ambient_dim)
+    # b's vectors are independent, so its rank is its dimension
     extended = QMatrix.from_rows(b.vectors + (v,), cols=b.ambient_dim)
-    return rank(base) == rank(extended)
+    return rank(extended) == b.dim

@@ -116,9 +116,15 @@ def connectivity_certificate(c: Combinatorics) -> OrderingCertificate | None:
     base = (conic, *tangents)
     rest = sorted(set(lines) - set(tangents))
 
-    def extend(prior: set[str], remaining: list[str]) -> tuple[list[str], list[int]] | None:
+    # `remaining` is `rest` minus `prior`, so a state that failed once
+    # fails again; remembering them bounds the search by 2^len(rest) states
+    dead: set[frozenset[str]] = set()
+
+    def extend(prior: frozenset[str], remaining: list[str]) -> tuple[list[str], list[int]] | None:
         if not remaining:
             return [], []
+        if prior in dead:
+            return None
         for l in remaining:
             n = n_value(c, l, prior)
             if n > 2:
@@ -126,9 +132,10 @@ def connectivity_certificate(c: Combinatorics) -> OrderingCertificate | None:
             tail = extend(prior | {l}, [m for m in remaining if m != l])
             if tail is not None:
                 return [l] + tail[0], [n] + tail[1]
+        dead.add(prior)
         return None
 
-    found = extend(set(base), rest)
+    found = extend(frozenset(base), rest)
     if found is None:
         return None
     order, n_values = found
@@ -224,20 +231,13 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     deletions: list[DeletionResult] = []
     for comp in a1.components:
         partner = matching[comp.label]
-        rest1 = [l for l in a1.labels if l != comp.label]
-        sub_comb = combinatorics(a1.restrict(rest1))
+        sub_comb = c_full1.restrict(l for l in a1.labels if l != comp.label)
         deletions.append(
             DeletionResult(comp.label, partner, connectivity_certificate(sub_comb))
         )
 
     # full sweep: every proper nonempty sub-curve of both arrangements,
     # grouped into true combinatorial classes
-    def proper_subsets(a: Arrangement):
-        labels = a.labels
-        for r in range(1, len(labels)):
-            for subset in itertools.combinations(labels, r):
-                yield subset
-
     classes: list[dict] = []  # {key, rep_comb, rep_labels, counts: [n1, n2]}
 
     def register(side: int, labels: tuple[str, ...], comb: Combinatorics):
@@ -249,10 +249,11 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
         classes.append({"key": key, "comb": comb, "labels": labels, "counts": [0, 0]})
         classes[-1]["counts"][side] += 1
 
-    for subset in proper_subsets(a1):
-        register(0, subset, combinatorics(a1.restrict(subset)))
-    for subset in proper_subsets(a2):
-        register(1, subset, combinatorics(a2.restrict(subset)))
+    for side, c_full in enumerate((c_full1, c_full2)):
+        labels = c_full.labels
+        for r in range(1, len(labels)):
+            for subset in itertools.combinations(labels, r):
+                register(side, subset, c_full.restrict(subset))
 
     shared: list[SharedClassResult] = []
     axioms: set[str] = set()

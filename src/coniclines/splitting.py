@@ -66,26 +66,28 @@ def _validate_split(b: SubCurve, c: SubCurve) -> Arrangement:
 def check_hypotheses(b: SubCurve, c: SubCurve) -> SplitHypothesisReport:
     """Evaluate the four hypotheses of the splitting criterion for (B, C)."""
     a = _validate_split(b, c)
-    bset, cset = set(b.labels), set(c.labels)
+    bset, cset = set(b.labels), frozenset(c.labels)
     violations: list[str] = []
 
     b_even = b.degree % 2 == 0
     if not b_even:
         violations.append(f"deg B = {b.degree} is odd")
 
+    points = singular_points(a)
     # C alone must be nodal (its components are smooth by construction)
     c_nodal = True
-    for pt in singular_points(a.restrict(c.labels)):
-        if pt.local_type.kind != "node":
+    for pt in points:
+        on_c = pt.restrict(cset)
+        if on_c is not None and on_c.local_type.kind != "node":
             c_nodal = False
             violations.append(
-                f"C has a {pt.local_type.display()} at {pt.location}"
+                f"C has a {on_c.local_type.display()} at {pt.location}"
             )
 
     disjoint = True
     mults_two = True
     bc_points: list[ProjPoint] = []
-    for pt in singular_points(a):
+    for pt in points:
         b_branches = pt.branches & bset
         c_branches = pt.branches & cset
         if not (b_branches and c_branches):

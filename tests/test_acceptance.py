@@ -15,6 +15,7 @@ from coniclines.incidence import (
     combinatorics,
     component_fingerprint,
     equivalences,
+    singular_points,
 )
 from coniclines.linalg import QMatrix, kernel_basis, rank
 from coniclines.moduli import minimality_check, n_value
@@ -203,10 +204,12 @@ def test_criterion_6_minimality():
 def test_criterion_7_property_suites():
     # Bezout on the four examples and on 200 randomized arrangements
     for name in PAIR_FILES:
-        assert bezout_check(load(name))
+        a = load(name)
+        assert bezout_check(a, singular_points(a))
     rng = random.Random(1234)
     for _ in range(200):
-        assert bezout_check(random_arrangement(rng))
+        a = random_arrangement(rng)
+        assert bezout_check(a, singular_points(a))
 
     # kernel vanishing is exact on the examples
     for name in PAIR_FILES:

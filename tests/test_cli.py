@@ -117,6 +117,18 @@ def test_compare_across_pairs(capsys):
     assert "4 ordinary triple points" in out  # pair-2 conic fingerprint
 
 
+def test_compare_names_point_types_once(capsys, tmp_path):
+    # three lines through one point of the conic: an ordinary 4-fold point
+    f = tmp_path / "fan.txt"
+    f.write_text(
+        "conic C : 1 1 -1 0 0 0\nline L1 : 0 1 0\nline L2 : 1 1 -1\nline L3 : 1 -1 -1\n"
+    )
+    code, out, _ = run(capsys, "compare", str(f), str(f))
+    assert code == 0
+    assert f"{f}: 4 components; 3 nodes, 1 ordinary point of multiplicity 4" in out
+    assert f"conic fingerprint of {f}: 3 nodes, 1 ordinary point of multiplicity 4" in out
+
+
 def test_split_pair1(capsys):
     code, out, _ = run(capsys, "split", P1B1, "--branch", "B", "--curve", "CC")
     assert code == 0

@@ -26,6 +26,7 @@ from coniclines.incidence import (
 from coniclines.poly import ProjPoint
 
 from .conftest import (
+    PAIR_FILES,
     load,
     random_arrangement,
     random_invertible_matrix,
@@ -199,8 +200,8 @@ def test_intersections_match_sympy_oracle():
 def test_bezout_on_examples():
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
-        assert bezout_check(a)
-        table = bezout_table(a)
+        assert bezout_check(a, singular_points(a))
+        table = bezout_table(singular_points(a))
         for c1, c2 in itertools.combinations(a.components, 2):
             key = tuple(sorted((c1.label, c2.label)))
             assert table[key] == c1.degree * c2.degree
@@ -210,7 +211,7 @@ def test_bezout_on_examples():
 @given(st.integers(0, 2**32 - 1))
 def test_bezout_on_random_arrangements(seed):
     a = random_arrangement(random.Random(seed))
-    assert bezout_check(a)
+    assert bezout_check(a, singular_points(a))
 
 
 def test_combinatorics_within_pairs_equal():
@@ -312,3 +313,50 @@ def test_tangency_plus_extra_branch_is_other():
     assert key in types
     assert types[key].kind == "other"
     assert types[key].signature == (1, 1, 2)
+
+
+def test_singular_point_restrict():
+    extra = Component("M", "line", line_form([1, 1, -1]))
+    a = Arrangement((CONIC, L1, extra), {})
+    (pt,) = [p for p in singular_points(a) if len(p.branches) == 3]
+    tac = pt.restrict(frozenset(("C", "L1")))
+    assert tac.location == pt.location and tac.point_count == 1
+    assert tac.local_type.kind == "tacnode"
+    assert tac.pair_mults == ((("C", "L1"), 2),)
+    assert pt.restrict(frozenset(("L1", "M"))).local_type.kind == "node"
+    assert pt.restrict(frozenset(("C", "L2"))) is None
+    assert pt.restrict(pt.branches) == pt
+
+
+def _check_restriction(a: Arrangement, points, c, subset) -> None:
+    """Restricting the whole arrangement's incidence equals recomputing it."""
+    keep = frozenset(subset)
+    sub = a.restrict(subset)
+    assert c.restrict(subset) == combinatorics(sub)
+    restricted = [r for r in (pt.restrict(keep) for pt in points) if r is not None]
+    expected = singular_points(sub)
+    assert len(restricted) == len(expected)
+    for got, want in zip(restricted, expected):
+        assert got == want
+
+
+def test_restriction_matches_recomputation_on_bundled_files():
+    checked = 0
+    for name in PAIR_FILES:
+        a = load(name)
+        points, c = singular_points(a), combinatorics(a)
+        for r in range(1, len(a.labels)):
+            for subset in itertools.combinations(a.labels, r):
+                _check_restriction(a, points, c, subset)
+                checked += 1
+    assert checked == 4 * 254
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_restriction_matches_recomputation_on_random_arrangements(seed):
+    a = random_arrangement(random.Random(seed), max_lines=6)
+    points, c = singular_points(a), combinatorics(a)
+    for r in range(len(a.labels) + 1):
+        for subset in itertools.combinations(a.labels, r):
+            _check_restriction(a, points, c, subset)

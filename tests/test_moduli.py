@@ -5,6 +5,7 @@ import random
 import pytest
 
 from coniclines.arrangement import Arrangement, Component, parse
+from coniclines import moduli
 from coniclines.incidence import combinatorics
 from coniclines.moduli import (
     AXIOM_LINES,
@@ -92,6 +93,28 @@ line T2 : 0 1 -1
 line T3 : 1 0 1
 """
     assert connectivity_certificate(comb_of(text)) is None
+
+
+def test_certificate_search_is_bounded(monkeypatch):
+    # a conic with 12 transversal lines x=i, y=i, x+y=s, no ordering with
+    # every n_t <= 2: without remembering dead states the search runs for
+    # minutes; with them it visits each of the 2^12 prior sets at most once
+    text = "conic C : 1 1 -1000 0 0 0\n"
+    text += "".join(f"line X{i} : 1 0 {-i}\nline Y{i} : 0 1 {-i}\n" for i in range(1, 5))
+    text += "".join(f"line S{s} : 1 1 {-s}\n" for s in range(2, 6))
+    c = comb_of(text)
+    rest = 12
+    calls = 0
+
+    def counting_n_value(*args):
+        nonlocal calls
+        calls += 1
+        if calls > rest * 2**rest:
+            raise AssertionError(f"more than {rest} * 2^{rest} n_value calls")
+        return n_value(*args)
+
+    monkeypatch.setattr(moduli, "n_value", counting_n_value)
+    assert connectivity_certificate(c) is None
 
 
 @pytest.mark.parametrize("name", ["pair1_B1", "pair2_B1"])
