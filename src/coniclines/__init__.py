@@ -18,7 +18,6 @@ from .incidence import (
     intersect_line_conic,
     intersect_lines,
     singular_points,
-    tangency,
 )
 from .linalg import QMatrix, QVectorBasis, in_span, intersect_subspaces, kernel_basis, rank
 from .moduli import (
@@ -35,8 +34,6 @@ from .splitting import (
     SplitHypothesisReport,
     ZariskiCertificate,
     check_hypotheses,
-    connected_number,
-    connected_number_with_witness,
     through_points,
     zariski_certificate,
 )
@@ -66,8 +63,6 @@ __all__ = [
     "check_hypotheses",
     "combinatorics",
     "component_fingerprint",
-    "connected_number",
-    "connected_number_with_witness",
     "connectivity_certificate",
     "equivalences",
     "in_span",
@@ -84,7 +79,6 @@ __all__ = [
     "rank",
     "serialize",
     "singular_points",
-    "tangency",
     "through_points",
     "zariski_certificate",
 ]

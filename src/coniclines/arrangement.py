@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Mapping
 
 from .poly import HomPoly
@@ -150,19 +149,6 @@ class Arrangement:
             raise KeyError(f"arrangement declares no sub-curve named {name!r}")
         return SubCurve(self, self.subcurves[name])
 
-    def subcurve_of(self, labels: Iterable[str]) -> "SubCurve":
-        wanted = set(labels)
-        ordered = tuple(l for l in self.labels if l in wanted)
-        missing = wanted - set(ordered)
-        if missing:
-            raise KeyError(f"unknown component label {sorted(missing)[0]!r}")
-        return SubCurve(self, ordered)
-
-    def restrict(self, labels: Iterable[str]) -> "Arrangement":
-        """Sub-arrangement with the given components; sub-curve names are dropped."""
-        wanted = set(labels)
-        return Arrangement(tuple(c for c in self.components if c.label in wanted), {})
-
 
 @dataclass(frozen=True)
 class SubCurve:
@@ -184,9 +170,6 @@ class SubCurve:
     @property
     def degree(self) -> int:
         return sum(c.degree for c in self.components)
-
-    def defining_polynomial(self) -> HomPoly:
-        return reduce(lambda f, g: f * g, (c.form for c in self.components))
 
 
 def _parse_number(token: str, lineno: int, col: int) -> Fraction:

@@ -39,7 +39,7 @@ EXIT_INCONCLUSIVE = 3
 
 def _load(path: str) -> Arrangement:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
     return parse(text)
@@ -222,16 +222,18 @@ def cmd_minimality(args) -> int:
 
 def cmd_render(args) -> int:
     a = _load(args.file)
-    window = tuple(Fraction(w) for w in args.window) if args.window else None
-    try:
-        cfg = (
-            RenderConfig(chart=args.chart, window=window)
-            if window
-            else RenderConfig(chart=args.chart)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    window = []
+    for w in args.window or ():
+        try:
+            window.append(Fraction(w))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--window takes integers or fractions p/q, got {w!r}") from None
+    # RenderConfig rejects a degenerate window with a ValueError, which main reports
+    cfg = (
+        RenderConfig(chart=args.chart, window=tuple(window))
+        if window
+        else RenderConfig(chart=args.chart)
+    )
     svg = render_svg(a, cfg)
     try:
         Path(args.output).write_text(svg, encoding="utf-8")
@@ -293,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:  # ParseError is a ValueError
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .arrangement import Arrangement, Component
-from .linalg import QMatrix, kernel_basis
 from .poly import ProjPoint
 
 
@@ -35,7 +34,7 @@ class ConjugatePair:
     """Two Galois-conjugate intersection points of a line and the conic.
 
     The discriminant comes from the canonical parameterization of the
-    line (kernel basis of its coefficient row), so it is deterministic;
+    line (`_line_points`), so it is deterministic;
     it is well defined up to a nonzero square factor.
     """
 
@@ -64,15 +63,19 @@ def intersect_lines(l1: Component, l2: Component) -> ProjPoint:
 
 
 def _line_points(line: Component) -> tuple[tuple, tuple]:
-    """Two canonical integer coordinate vectors spanning the line.
+    """Two canonical integer coordinate vectors spanning the line a*x + b*y + c*z.
 
-    Raw tuples, not ProjPoints: the discriminant arithmetic needs
+    The kernel basis of the row (a, b, c) in closed form: one vector per
+    free column, each primitive with first nonzero entry positive.  Raw
+    tuples, not ProjPoints: the discriminant arithmetic needs
     unnormalized linear combinations.
     """
-    row = [line.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    basis = kernel_basis(QMatrix.from_rows([row], cols=3))
-    v1, v2 = basis.vectors
-    return v1, v2
+    a, b, c = (line.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    if a:
+        v1, v2 = (-b, a, 0), (-c, 0, a)
+    else:
+        v1, v2 = (1, 0, 0), (0, -c, b)
+    return ProjPoint(*v1).coords, ProjPoint(*v2).coords
 
 
 def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
@@ -114,10 +117,6 @@ def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
         pts.sort()
         return TwoRational(pts[0], pts[1])
     return ConjugatePair(disc, line.label, conic.label)
-
-
-def tangency(line: Component, conic: Component) -> bool:
-    return isinstance(intersect_line_conic(line, conic), Tangent)
 
 
 @dataclass(frozen=True)

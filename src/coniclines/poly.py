@@ -13,7 +13,6 @@ and report uses it, so exact outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -57,18 +56,6 @@ class ProjPoint:
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
         object.__setattr__(self, "coords", coords)
-
-    @property
-    def x(self) -> int:
-        return self.coords[0]
-
-    @property
-    def y(self) -> int:
-        return self.coords[1]
-
-    @property
-    def z(self) -> int:
-        return self.coords[2]
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
@@ -160,11 +147,6 @@ class HomPoly:
             raise ValueError("degree mismatch in sum")
         return HomPoly(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "HomPoly") -> "HomPoly":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in difference")
-        return HomPoly(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def scale(self, factor) -> "HomPoly":
         return HomPoly(self.degree, [factor * c for c in self.coeffs])
 
@@ -189,42 +171,6 @@ class HomPoly:
     def primitive(self) -> "HomPoly":
         """Coefficients scaled to coprime integers, first nonzero positive."""
         return HomPoly(self.degree, primitive(self.coeffs))
-
-    def leading(self) -> tuple[tuple[int, int, int], object]:
-        for expo, coeff in self.terms():
-            return expo, coeff
-        raise ValueError("zero polynomial has no leading term")
-
-    def try_divide(self, divisor: "HomPoly") -> "HomPoly | None":
-        """Exact quotient self / divisor, or None when divisor does not divide self.
-
-        Long division by a single divisor in the fixed monomial order; for
-        one divisor the remainder vanishes exactly on multiples, so the
-        first non-divisible leading term is already conclusive.  The
-        quotient of two integer forms can be rational, so it is computed
-        with fractions.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero form")
-        if self.is_zero():
-            if divisor.degree > self.degree:
-                return None
-            return HomPoly.zero(self.degree - divisor.degree)
-        if divisor.degree > self.degree:
-            return None
-        qdeg = self.degree - divisor.degree
-        (da, db, dc), dcoeff = divisor.leading()
-        quotient = HomPoly.zero(qdeg)
-        remainder = self
-        while not remainder.is_zero():
-            (ra, rb, rc), rcoeff = remainder.leading()
-            ea, eb, ec = ra - da, rb - db, rc - dc
-            if ea < 0 or eb < 0 or ec < 0:
-                return None
-            term = HomPoly.from_terms(qdeg, {(ea, eb, ec): Fraction(rcoeff) / dcoeff})
-            quotient = quotient + term
-            remainder = remainder - term * divisor
-        return quotient
 
     def substitute(self, images: tuple["HomPoly", "HomPoly", "HomPoly"]) -> "HomPoly":
         """Linear change of variables: substitute degree-1 forms for x, y, z."""

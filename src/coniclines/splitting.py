@@ -140,9 +140,6 @@ class LinearSystem:
     def projective_dimension(self) -> int:
         return self.kernel.dim - 1
 
-    def basis_polynomials(self) -> tuple[HomPoly, ...]:
-        return tuple(HomPoly(self.degree, v) for v in self.kernel.vectors)
-
 
 def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> LinearSystem:
     """Kernel of the |pts| × (n+1)(n+2)/2 monomial evaluation matrix."""
@@ -209,20 +206,6 @@ def analyze_split(
     return SplitAnalysis(
         b.labels, c.labels, b.degree, c.degree, report, system, value, witness
     )
-
-
-def connected_number(
-    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
-) -> int:
-    return analyze_split(b, c, report).connected
-
-
-def connected_number_with_witness(
-    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
-) -> tuple[int, HomPoly | None]:
-    """The connected number in {1, 2}, plus a witness curve when it is 2."""
-    analysis = analyze_split(b, c, report)
-    return analysis.connected, analysis.witness
 
 
 def _find_witness(

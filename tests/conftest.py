@@ -22,6 +22,16 @@ def load(name: str) -> Arrangement:
     return parse(PAIR_FILES[name].read_text(encoding="utf-8"))
 
 
+def sub_arrangement(a: Arrangement, labels) -> Arrangement:
+    """The sub-arrangement with the given components, rebuilt from scratch.
+
+    The reference that restricted incidence structures are compared
+    against; sub-curve names are dropped.
+    """
+    wanted = set(labels)
+    return Arrangement(tuple(c for c in a.components if c.label in wanted), {})
+
+
 @pytest.fixture(scope="session")
 def pair1_b1():
     return load("pair1_B1")

@@ -117,24 +117,6 @@ def test_fraction_coefficients_cleared_to_primitive():
     assert a.components[0].form.coefficient_vector() == (3, 2, 0)
 
 
-def test_defining_polynomial_of_triangle(pair1_b1):
-    triangle = pair1_b1.subcurve("CC").defining_polynomial()
-    assert triangle.degree == 3
-    assert triangle.coefficient((2, 1, 0)) == 1
-    assert triangle.coefficient((1, 1, 1)) == -5
-
-
-def test_defining_polynomial_of_branch_curve(pair1_b1):
-    assert pair1_b1.subcurve("B").defining_polynomial().degree == 6
-
-
-def test_partition_product(pair1_b1):
-    whole = pair1_b1.subcurve_of(pair1_b1.labels).defining_polynomial()
-    cc = pair1_b1.subcurve("CC").defining_polynomial()
-    b = pair1_b1.subcurve("B").defining_polynomial()
-    assert (cc * b).primitive() == whole.primitive()
-
-
 def test_roundtrip_pair_file():
     a = parse(PAIR1_TEXT)
     assert parse(serialize(a)) == a
@@ -145,12 +127,6 @@ def test_roundtrip_pair_file():
 def test_roundtrip_random_arrangements(seed):
     a = random_arrangement(random.Random(seed))
     assert parse(serialize(a)) == a
-
-
-def test_restrict_drops_subcurves(pair1_b1):
-    sub = pair1_b1.restrict(["C", "L1", "L2"])
-    assert sub.labels == ("C", "L1", "L2")
-    assert sub.subcurves == {}
 
 
 def test_component_validation():

@@ -1,6 +1,9 @@
 """CLI behaviour: reports, exit codes, determinism, SVG output."""
 
 import re
+from pathlib import Path
+
+import pytest
 
 from coniclines.cli import main
 
@@ -10,6 +13,7 @@ P1B1 = str(PAIR_FILES["pair1_B1"])
 P1B2 = str(PAIR_FILES["pair1_B2"])
 P2B1 = str(PAIR_FILES["pair2_B1"])
 P2B2 = str(PAIR_FILES["pair2_B2"])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -242,6 +246,26 @@ def test_render_zero_width_window_exit_1(capsys, tmp_path):
     )
     assert code == 1
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("value", ["1/0", "a"])
+def test_render_bad_window_value_exit_1(capsys, tmp_path, value):
+    out_file = tmp_path / "bad.svg"
+    code, out, err = run(
+        capsys, "render", P1B1, "-o", str(out_file), "--window", value, "1", "0", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --window takes integers or fractions p/q, got {value!r}\n"
+    assert not out_file.exists()
+
+
+def test_analyze_accepts_byte_order_mark(capsys, tmp_path):
+    src = tmp_path / "pair1_B1.txt"
+    src.write_bytes(b"\xef\xbb\xbf" + PAIR_FILES["pair1_B1"].read_bytes())
+    code, out, _ = run(capsys, "analyze", str(src))
+    assert code == 0
+    assert out == (GOLDEN / "analyze_pair1_B1.txt").read_text(encoding="utf-8")
 
 
 def test_render_unwritable_output_exit_1(capsys, tmp_path):

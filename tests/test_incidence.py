@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form
@@ -13,6 +13,7 @@ from coniclines.incidence import (
     ConjugatePair,
     Tangent,
     TwoRational,
+    _line_points,
     bezout_check,
     bezout_table,
     combinatorics,
@@ -21,8 +22,8 @@ from coniclines.incidence import (
     intersect_line_conic,
     intersect_lines,
     singular_points,
-    tangency,
 )
+from coniclines.linalg import QMatrix, kernel_basis
 from coniclines.poly import ProjPoint
 
 from .conftest import (
@@ -30,6 +31,7 @@ from .conftest import (
     load,
     random_arrangement,
     random_invertible_matrix,
+    sub_arrangement,
     transform_arrangement,
 )
 from .oracles import sympy_line_conic_points
@@ -108,9 +110,25 @@ def test_line_conic_conjugate_pair():
 
 
 def test_tangency_golden():
-    assert tangency(L1, CONIC)
-    assert tangency(L2, CONIC)
-    assert not tangency(L3, CONIC)
+    assert isinstance(intersect_line_conic(L1, CONIC), Tangent)
+    assert isinstance(intersect_line_conic(L2, CONIC), Tangent)
+    assert not isinstance(intersect_line_conic(L3, CONIC), Tangent)
+
+
+# zero is drawn about half the time, so the a = 0 and a = b = 0 branches run often
+COEFFICIENT = st.one_of(st.just(0), st.integers(-40, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(COEFFICIENT, COEFFICIENT, COEFFICIENT).filter(any))
+@example((0, 3, -2))
+@example((0, 0, -5))
+@example((0, 4, 0))
+@example((-2, 0, 0))
+def test_line_points_are_the_kernel_basis_of_the_row(row):
+    line = Component("L", "line", line_form(row))
+    stored = [line.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert _line_points(line) == kernel_basis(QMatrix.from_rows([stored], cols=3)).vectors
 
 
 def _tables(a: Arrangement):
@@ -331,7 +349,7 @@ def test_singular_point_restrict():
 def _check_restriction(a: Arrangement, points, c, subset) -> None:
     """Restricting the whole arrangement's incidence equals recomputing it."""
     keep = frozenset(subset)
-    sub = a.restrict(subset)
+    sub = sub_arrangement(a, subset)
     assert c.restrict(subset) == combinatorics(sub)
     restricted = [r for r in (pt.restrict(keep) for pt in points) if r is not None]
     expected = singular_points(sub)

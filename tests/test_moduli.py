@@ -16,7 +16,7 @@ from coniclines.moduli import (
     replay_certificate,
 )
 
-from .conftest import load, random_invertible_matrix, transform_arrangement
+from .conftest import load, random_invertible_matrix, sub_arrangement, transform_arrangement
 
 
 def comb_of(text: str):
@@ -76,7 +76,7 @@ def test_certificate_bare_conic():
 
 def test_certificate_pure_lines():
     a = load("pair1_B1")
-    lines_only = a.restrict([l for l in a.labels if l != "C"])
+    lines_only = sub_arrangement(a, [l for l in a.labels if l != "C"])
     cert = connectivity_certificate(combinatorics(lines_only))
     assert cert is not None
     assert cert.base_rule == "PureLinesAtMost9"
@@ -121,7 +121,7 @@ def test_certificate_search_is_bounded(monkeypatch):
 @pytest.mark.parametrize("drop", ["L1", "L4", "L7"])
 def test_certificates_for_single_line_deletions(name, drop):
     a = load(name)
-    sub = a.restrict([l for l in a.labels if l != drop])
+    sub = sub_arrangement(a, [l for l in a.labels if l != drop])
     c = combinatorics(sub)
     cert = connectivity_certificate(c)
     assert cert is not None
@@ -130,7 +130,7 @@ def test_certificates_for_single_line_deletions(name, drop):
 
 
 def test_certificate_label_independent(pair1_b1):
-    sub = pair1_b1.restrict([l for l in pair1_b1.labels if l != "L4"])
+    sub = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L4"])
     renamed = {l: f"X{i}" for i, l in enumerate(sub.labels)}
     relabeled = Arrangement(
         tuple(Component(renamed[c.label], c.kind, c.form) for c in sub.components), {}
@@ -142,7 +142,7 @@ def test_certificate_label_independent(pair1_b1):
 
 def test_n_value_coordinate_free():
     rng = random.Random(7)
-    a = load("pair1_B1").restrict(["C", "L1", "L2", "L3", "L4", "L5"])
+    a = sub_arrangement(load("pair1_B1"), ["C", "L1", "L2", "L3", "L4", "L5"])
     c_before = combinatorics(a)
     prior = {"C", "L1", "L2", "L3"}
     base = {l: n_value(c_before, l, prior) for l in ("L4", "L5")}
@@ -197,8 +197,8 @@ def test_minimality_report_text_stable(pair1_b1, pair1_b2):
 
 
 def test_replay_rejects_wrong_certificate(pair1_b1):
-    sub = pair1_b1.restrict([l for l in pair1_b1.labels if l != "L4"])
+    sub = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L4"])
     c = combinatorics(sub)
     cert = connectivity_certificate(c)
-    other = pair1_b1.restrict([l for l in pair1_b1.labels if l != "L5"])
+    other = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L5"])
     assert not replay_certificate(combinatorics(other), cert)

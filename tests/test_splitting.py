@@ -1,10 +1,11 @@
 """Splitting hypotheses, linear systems, connected numbers, certificates."""
 
+import math
 import random
 
 import pytest
 
-from coniclines.arrangement import Arrangement, Component, parse
+from coniclines.arrangement import Arrangement, Component, SubCurve, parse
 from coniclines.linalg import in_span, intersect_subspaces
 from coniclines.poly import HomPoly, ProjPoint, multiplication_image
 from coniclines.splitting import (
@@ -12,8 +13,6 @@ from coniclines.splitting import (
     analyze_split,
     certificate_report,
     check_hypotheses,
-    connected_number,
-    connected_number_with_witness,
     through_points,
     zariski_certificate,
 )
@@ -58,8 +57,8 @@ def test_other_examples_hypotheses_pass(name):
 
 
 def test_odd_degree_branch_rejected(pair1_b1):
-    b = pair1_b1.subcurve_of(["L1"])
-    c = pair1_b1.subcurve_of(["C", "L2", "L3", "L4", "L5", "L6", "L7"])
+    b = SubCurve(pair1_b1, ("L1",))
+    c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
     report = check_hypotheses(b, c)
     assert not report.b_even_degree
     assert any("odd" in v for v in report.violations)
@@ -67,8 +66,8 @@ def test_odd_degree_branch_rejected(pair1_b1):
 
 def test_non_nodal_c_rejected(pair1_b1):
     # putting the tangent line L1 with the conic makes C carry a tacnode
-    c = pair1_b1.subcurve_of(["C", "L1"])
-    b = pair1_b1.subcurve_of(["L2", "L3", "L4", "L5", "L6", "L7"])
+    c = SubCurve(pair1_b1, ("C", "L1"))
+    b = SubCurve(pair1_b1, ("L2", "L3", "L4", "L5", "L6", "L7"))
     report = check_hypotheses(b, c)
     assert not report.c_nodal_smooth
     assert any("tacnode" in v for v in report.violations)
@@ -84,8 +83,8 @@ line L4 : 1 2 0
 """
     a = parse(text)
     # L1..L3 all pass through [0:0:1]; C = {L1, L2} has its node there
-    b = a.subcurve_of(["L3", "L4"])
-    c = a.subcurve_of(["L1", "L2"])
+    b = SubCurve(a, ("L3", "L4"))
+    c = SubCurve(a, ("L1", "L2"))
     report = check_hypotheses(b, c)
     assert not report.bc_disjoint_from_nodes_of_c
 
@@ -97,20 +96,20 @@ line L1 : 0 1 -2
 line L2 : 0 1 -3
 """
     a = parse(text)
-    b = a.subcurve_of(["L1", "L2"])  # even degree
-    c = a.subcurve_of(["Q"])
+    b = SubCurve(a, ("L1", "L2"))  # even degree
+    c = SubCurve(a, ("Q",))
     report = check_hypotheses(b, c)
     assert not report.all_local_mults_two
     assert any("conjugate" in v for v in report.violations)
 
 
 def test_split_must_partition(pair1_b1):
-    b = pair1_b1.subcurve_of(["C", "L4"])
-    c = pair1_b1.subcurve_of(["L1", "L2", "L3"])
+    b = SubCurve(pair1_b1, ("C", "L4"))
+    c = SubCurve(pair1_b1, ("L1", "L2", "L3"))
     with pytest.raises(ValueError, match="cover"):
         check_hypotheses(b, c)
-    overlapping = pair1_b1.subcurve_of(["C", "L1", "L4", "L5", "L6", "L7"])
-    c2 = pair1_b1.subcurve_of(["L1", "L2", "L3"])
+    overlapping = SubCurve(pair1_b1, ("C", "L1", "L4", "L5", "L6", "L7"))
+    c2 = SubCurve(pair1_b1, ("L1", "L2", "L3"))
     with pytest.raises(ValueError, match="share"):
         check_hypotheses(overlapping, c2)
 
@@ -151,7 +150,8 @@ def test_kernel_contains_c_part_polynomial():
         b, c = split_of(a)
         report = check_hypotheses(b, c)
         system = through_points(3, report.intersection_points)
-        vec = c.defining_polynomial().primitive().coefficient_vector()
+        product = math.prod((comp.form for comp in c.components), start=HomPoly.unit())
+        vec = product.primitive().coefficient_vector()
         assert in_span(vec, system.kernel)
 
 
@@ -161,7 +161,7 @@ def test_kernel_vectors_vanish_at_all_points():
         b, c = split_of(a)
         report = check_hypotheses(b, c)
         system = through_points(3, report.intersection_points)
-        for f in system.basis_polynomials():
+        for f in (HomPoly(system.degree, v) for v in system.kernel.vectors):
             for p in report.intersection_points:
                 assert f.evaluate(p) == 0
 
@@ -185,32 +185,32 @@ def test_connected_numbers_of_both_pairs():
     }
     for name, expected in values.items():
         b, c = split_of(load(name))
-        assert connected_number(b, c) == expected, name
+        assert analyze_split(b, c).connected == expected, name
 
 
 def test_witness_properties_pair1():
     b, c = split_of(load("pair1_B1"))
-    value, witness = connected_number_with_witness(b, c)
-    assert value == 2
+    analysis = analyze_split(b, c)
+    witness = analysis.witness
+    assert analysis.connected == 2
     assert witness is not None
     report = check_hypotheses(b, c)
     for p in report.intersection_points:
         assert witness.evaluate(p) == 0
     for comp in c.components:
-        assert witness.try_divide(comp.form) is None
         assert not sympy_divides(witness, comp.form)
 
 
 def test_witness_properties_pair2():
     b, c = split_of(load("pair2_B2"))
-    value, witness = connected_number_with_witness(b, c)
-    assert value == 2
+    analysis = analyze_split(b, c)
+    assert analysis.connected == 2
     for comp in c.components:
-        assert witness.try_divide(comp.form) is None
+        assert not sympy_divides(analysis.witness, comp.form)
 
 
 def test_divisibility_dual_oracle():
-    # subspace-intersection verdict == exact polynomial division, on K's basis
+    # subspace-intersection verdict == sympy's exact polynomial division, on K's basis
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         b, c = split_of(a)
@@ -224,15 +224,15 @@ def test_divisibility_dual_oracle():
             assert sub.dim <= K.dim
             for v in K.vectors:
                 by_subspace = in_span(v, sub)
-                by_division = HomPoly(3, v).try_divide(comp.form) is not None
+                by_division = sympy_divides(HomPoly(3, v), comp.form)
                 assert by_subspace == by_division
 
 
 def test_connected_number_requires_hypotheses(pair1_b1):
-    b = pair1_b1.subcurve_of(["L1"])
-    c = pair1_b1.subcurve_of(["C", "L2", "L3", "L4", "L5", "L6", "L7"])
+    b = SubCurve(pair1_b1, ("L1",))
+    c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
     with pytest.raises(SplitHypothesisError):
-        connected_number(b, c)
+        analyze_split(b, c)
 
 
 def test_synthetic_empty_system_gives_one():
@@ -245,14 +245,14 @@ line T2 : 0 1 -1
 line T3 : 1 0 1
 """
     a = parse(text)
-    b = a.subcurve_of(["Q"])
-    c = a.subcurve_of(["T1", "T2", "T3"])
+    b = SubCurve(a, ("Q",))
+    c = SubCurve(a, ("T1", "T2", "T3"))
     report = check_hypotheses(b, c)
     assert report.ok
     assert len(report.intersection_points) == 3
     system = through_points(1, report.intersection_points)
     assert system.kernel.dim == 0
-    assert connected_number(b, c) == 1
+    assert analyze_split(b, c).connected == 1
 
 
 def test_synthetic_tangent_line_splits():
@@ -262,11 +262,11 @@ conic Q : 1 1 -1 0 0 0
 line T1 : 1 0 -1
 """
     a = parse(text)
-    b = a.subcurve_of(["Q"])
-    c = a.subcurve_of(["T1"])
-    value, witness = connected_number_with_witness(b, c)
-    assert value == 2
-    assert witness.try_divide(c.components[0].form) is None
+    b = SubCurve(a, ("Q",))
+    c = SubCurve(a, ("T1",))
+    analysis = analyze_split(b, c)
+    assert analysis.connected == 2
+    assert not sympy_divides(analysis.witness, c.components[0].form)
 
 
 def test_connected_number_invariant_under_relabeling(pair1_b1):
@@ -280,18 +280,21 @@ def test_connected_number_invariant_under_relabeling(pair1_b1):
         for name, labels in pair1_b1.subcurves.items()
     }
     relabeled = Arrangement(comps, sub)
-    assert connected_number(*split_of(relabeled)) == connected_number(*split_of(pair1_b1))
+    assert (
+        analyze_split(*split_of(relabeled)).connected
+        == analyze_split(*split_of(pair1_b1)).connected
+    )
 
 
 def test_connected_number_invariant_under_projective_transform():
     rng = random.Random(99)
     for name in ("pair1_B1", "pair2_B2"):
         a = load(name)
-        base = connected_number(*split_of(a))
+        base = analyze_split(*split_of(a)).connected
         for _ in range(3):
             m = random_invertible_matrix(rng)
             moved = transform_arrangement(a, m)
-            assert connected_number(*split_of(moved)) == base
+            assert analyze_split(*split_of(moved)).connected == base
 
 
 def test_zariski_certificate_pair1(pair1_b1, pair1_b2):

@@ -1,0 +1,49 @@
+"""The public surface of `src/` is used by the program, not only by the tests.
+
+A public function or method is used when its name appears as a name or an
+attribute somewhere in the package, the scripts or the benchmark.  Import
+aliases and `__all__` strings are not uses.  The check matches names, not
+bindings, so a method that shares its name with a used one passes
+unnoticed (`Arrangement.restrict` against `Combinatorics.restrict`).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "coniclines").glob("*.py"))
+PROGRAM = PACKAGE + [p for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+
+# kept on purpose: the parse/serialize round trip is an acceptance
+# criterion, and the certificate tests replay against an independent checker
+KEPT_FOR_TESTS = {"serialize", "replay_certificate"}
+
+
+def _trees(paths):
+    return [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths]
+
+
+def public_defs() -> set[str]:
+    return {
+        node.name
+        for tree in _trees(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def used_names() -> set[str]:
+    used = set()
+    for tree in _trees(PROGRAM):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_def_has_a_program_caller():
+    assert public_defs() - used_names() - KEPT_FOR_TESTS == set()
+
