@@ -8,6 +8,8 @@ deterministic, so every command is golden-file testable.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -286,6 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.add_argument("--chart", choices=("x", "y", "z"), default="z")
     p.set_defaults(func=cmd_render)
+    # argparse takes only -N and -N.N for negative numbers, so a bound such
+    # as -1/2 would be read as an option; render has no option like -1.
+    # This sets a private argparse attribute (the pattern Python 3.13 uses);
+    # test_render_negative_fraction_window guards it
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
 
     return parser
 
@@ -294,7 +301,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and point the descriptor
+        # at devnull so the flush at interpreter exit cannot fail again;
+        # like a failed write of a render, this is an exit-1 error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

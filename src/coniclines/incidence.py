@@ -301,10 +301,12 @@ class Combinatorics:
         )
 
 
-def combinatorics(a: Arrangement) -> Combinatorics:
+def combinatorics(a: Arrangement, points: tuple[SingularPoint, ...] | None = None) -> Combinatorics:
+    """The incidence structure of a; `points` are its singular points, if known."""
+    if points is None:
+        points = singular_points(a)
     degrees = tuple((c.label, c.degree) for c in a.components)
-    points = [pt for pt in singular_points(a) for _ in range(pt.point_count)]
-    return Combinatorics(degrees, tuple(points))
+    return Combinatorics(degrees, tuple(pt for pt in points for _ in range(pt.point_count)))
 
 
 def component_fingerprint(c: Combinatorics, label: str) -> tuple:

@@ -183,8 +183,8 @@ class DeletionResult:
 class SharedClassResult:
     """One combinatorics class of proper sub-curves occurring on both sides."""
 
-    representative: tuple[str, ...]  # labels in arrangement 1 (or 2 if only there)
-    side_counts: tuple[int, int]
+    representative: tuple[str, ...]  # labels in arrangement 1
+    count: int  # sub-curves in the class, on each side
     certificate: OrderingCertificate | None
 
 
@@ -213,9 +213,12 @@ def _class_key(c: Combinatorics) -> tuple:
 def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     """Certify that no pair of proper sub-curves can form a Zariski pair.
 
-    Every proper sub-curve of each arrangement is enumerated; classes of
-    equivalent combinatorics occurring on both sides are certified via
-    `connectivity_certificate`.  The result is Minimal only when every
+    Every proper sub-curve of arrangement 1 is enumerated and grouped into
+    classes of equivalent combinatorics, each certified via
+    `connectivity_certificate`.  Arrangement 2 needs no sweep of its own:
+    an equivalence maps every sub-curve S of arrangement 1 to one of
+    arrangement 2 with equivalent combinatorics, so each class occurs on
+    both sides, equally often.  The result is Minimal only when every
     shared class is certified; any failure yields Unknown (an honest
     "could not certify", never "not minimal").
     """
@@ -236,32 +239,27 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
             DeletionResult(comp.label, partner, connectivity_certificate(sub_comb))
         )
 
-    # full sweep: every proper nonempty sub-curve of both arrangements,
+    # full sweep: every proper nonempty sub-curve of arrangement 1,
     # grouped into true combinatorial classes
-    classes: list[dict] = []  # {key, rep_comb, rep_labels, counts: [n1, n2]}
+    classes: list[dict] = []  # {key, comb, labels, count}
 
-    def register(side: int, labels: tuple[str, ...], comb: Combinatorics):
+    def register(labels: tuple[str, ...], comb: Combinatorics):
         key = _class_key(comb)
         for cls in classes:
             if cls["key"] == key and equivalences(comb, cls["comb"], find_all=False):
-                cls["counts"][side] += 1
+                cls["count"] += 1
                 return
-        classes.append({"key": key, "comb": comb, "labels": labels, "counts": [0, 0]})
-        classes[-1]["counts"][side] += 1
+        classes.append({"key": key, "comb": comb, "labels": labels, "count": 1})
 
-    for side, c_full in enumerate((c_full1, c_full2)):
-        labels = c_full.labels
-        for r in range(1, len(labels)):
-            for subset in itertools.combinations(labels, r):
-                register(side, subset, c_full.restrict(subset))
+    labels = c_full1.labels
+    for r in range(1, len(labels)):
+        for subset in itertools.combinations(labels, r):
+            register(subset, c_full1.restrict(subset))
 
     shared: list[SharedClassResult] = []
     axioms: set[str] = set()
     all_certified = True
     for cls in classes:
-        n1, n2 = cls["counts"]
-        if n1 == 0 or n2 == 0:
-            continue  # no cross pair with this combinatorics: nothing to rule out
         cert = connectivity_certificate(cls["comb"])
         if cert is None:
             all_certified = False
@@ -269,7 +267,7 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
             axioms.add(AXIOM_LINES if cert.base_rule == "PureLinesAtMost9" else AXIOM_BASE)
             if cert.order:
                 axioms.add(AXIOM_ORDERING)
-        shared.append(SharedClassResult(cls["labels"], (n1, n2), cert))
+        shared.append(SharedClassResult(cls["labels"], cls["count"], cert))
 
     shared.sort(key=lambda s: (len(s.representative), s.representative))
     return MinimalityReport(
@@ -309,7 +307,7 @@ def minimality_report_text(
         if s.certificate is None:
             lines.append(
                 f"    UNKNOWN: class of {{{', '.join(s.representative)}}} "
-                f"({s.side_counts[0]} / {s.side_counts[1]} sub-curves)"
+                f"({s.count} / {s.count} sub-curves)"
             )
     lines.append(f"  overall: {report.overall}")
     lines.append("  axioms used:")

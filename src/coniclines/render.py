@@ -2,9 +2,11 @@
 
 The only floating point in the package lives here, and nothing computed
 here flows back into any analysis.  Lines are clipped exactly against the
-window before the final float conversion; the conic is sampled through a
-rational parameterization when a rational point exists (every sample then
-lies exactly on the conic), with a float quadratic scan as fallback.
+window before the final float conversion.  The conic is sampled on
+integers through the pencil of lines at a rational point of height at
+most POINT_SEARCH_HEIGHT (every sample then lies exactly on the conic);
+any other conic is drawn by a float quadratic scan, which draws nothing
+for a definite conic, as it has no real points.
 """
 
 from __future__ import annotations
@@ -136,15 +138,19 @@ def _line_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
     return [f"M {canvas.fmt(float(u1), float(v1))} L {canvas.fmt(float(u2), float(v2))}"]
 
 
-def _rational_point_on_conic(q: HomPoly, height: int = 24) -> ProjPoint | None:
-    for h in range(1, height + 1):
+# an arbitrary bound, not a measured one: every bundled conic has a point
+# of height 1, and the search costs at most 728 evaluations at height 4;
+# a conic whose first point lies higher is drawn by the float scan
+POINT_SEARCH_HEIGHT = 4
+
+
+def _rational_point_on_conic(q: HomPoly) -> ProjPoint | None:
+    for h in range(1, POINT_SEARCH_HEIGHT + 1):
         coords = range(-h, h + 1)
         for x in coords:
             for y in coords:
                 for z in coords:
                     if max(abs(x), abs(y), abs(z)) != h:
-                        continue
-                    if x == 0 and y == 0 and z == 0:
                         continue
                     p = ProjPoint(x, y, z)
                     if q.evaluate(p) == 0:
@@ -153,11 +159,12 @@ def _rational_point_on_conic(q: HomPoly, height: int = 24) -> ProjPoint | None:
 
 
 def _conic_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
-    """Exact points sweeping the conic once, via the pencil of lines through p0.
+    """Exact points sweeping the smooth conic q once, via the pencil of lines through p0.
 
     The second intersection of the line through p0 with direction D is
     q(D) * p0 - polar(p0, D) * D, a quadratic parameterization of the conic
-    by the projective parameter of D.
+    by the projective parameter of D.  It is never zero: D is off p0, and
+    the tangent at p0 meets a smooth conic nowhere else.
     """
     if abs(p0.coords[0]) == max(abs(v) for v in p0.coords):
         d1, d2 = ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)
@@ -166,30 +173,21 @@ def _conic_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
     else:
         d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)
 
-    assert q.evaluate(p0) == 0
-
-    def polar(u, v) -> Fraction:
+    def polar(u, v) -> int:
         both = tuple(a + b for a, b in zip(u, v))
         return q.evaluate_triple(both) - q.evaluate_triple(u) - q.evaluate_triple(v)
 
+    # sweep the whole projective parameter line: u = w/count in (-1, 1) is
+    # mapped to s = 3u/(1-u^2), which runs from -inf to +inf with good
+    # density near 0; (s : 1) is the integer pair (3 w count : count^2 - w^2)
+    params = [(3 * w * count, count * count - w * w) for w in range(2 - count, count, 2)]
+    params.append((1, 0))
     samples: list[ProjPoint] = []
-    params: list[tuple[Fraction, Fraction]] = []
-    # sweep the whole projective parameter line: u in (-1, 1) mapped to
-    # s = 3u/(1-u^2), which runs from -inf to +inf with good density near 0
-    for k in range(1, count):
-        u = Fraction(-1) + Fraction(2 * k, count)
-        s = 3 * u / (1 - u * u)
-        params.append((s, Fraction(1)))
-    params.append((Fraction(1), Fraction(0)))
     for s, t in params:
         d = tuple(s * a + t * b for a, b in zip(d1.coords, d2.coords))
-        if not any(d):
-            continue
         qd = q.evaluate_triple(d)
         pol = polar(p0.coords, d)
-        coords = tuple(qd * a - pol * b for a, b in zip(p0.coords, d))
-        if any(coords):
-            samples.append(ProjPoint(*coords))
+        samples.append(ProjPoint(*(qd * a - pol * b for a, b in zip(p0.coords, d))))
     return samples
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, SubCurve
-from .incidence import ConjugatePair, combinatorics, equivalences, singular_points
+from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
 from .linalg import QMatrix, QVectorBasis, in_span, intersect_subspaces, kernel_basis
 from .poly import HomPoly, ProjPoint, monomial_count, monomial_row, multiplication_image
 
@@ -63,9 +63,11 @@ def _validate_split(b: SubCurve, c: SubCurve) -> Arrangement:
     return a
 
 
-def check_hypotheses(b: SubCurve, c: SubCurve) -> SplitHypothesisReport:
-    """Evaluate the four hypotheses of the splitting criterion for (B, C)."""
-    a = _validate_split(b, c)
+def check_hypotheses(
+    b: SubCurve, c: SubCurve, points: tuple[SingularPoint, ...]
+) -> SplitHypothesisReport:
+    """Evaluate the four hypotheses of the splitting criterion for (B, C) at these points."""
+    _validate_split(b, c)
     bset, cset = set(b.labels), frozenset(c.labels)
     violations: list[str] = []
 
@@ -73,7 +75,6 @@ def check_hypotheses(b: SubCurve, c: SubCurve) -> SplitHypothesisReport:
     if not b_even:
         violations.append(f"deg B = {b.degree} is odd")
 
-    points = singular_points(a)
     # C alone must be nodal (its components are smooth by construction)
     c_nodal = True
     for pt in points:
@@ -188,7 +189,7 @@ def analyze_split(
     combinations of the kernel basis.
     """
     if report is None:
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
     if not report.ok:
         raise SplitHypothesisError(
             "splitting hypotheses violated: " + "; ".join(report.violations)
@@ -260,7 +261,8 @@ def zariski_certificate(
     _validate_split(b1, c1)
     _validate_split(b2, c2)
 
-    eqs = equivalences(combinatorics(a1), combinatorics(a2))
+    points1, points2 = singular_points(a1), singular_points(a2)
+    eqs = equivalences(combinatorics(a1, points1), combinatorics(a2, points2))
     found = bool(eqs)
     reasons: list[str] = []
     if not found:
@@ -271,8 +273,8 @@ def zariski_certificate(
     if found and not rigid:
         reasons.append("some equivalence does not preserve the (B, C) split")
 
-    an1 = analyze_split(b1, c1)
-    an2 = analyze_split(b2, c2)
+    an1 = analyze_split(b1, c1, check_hypotheses(b1, c1, points1))
+    an2 = analyze_split(b2, c2, check_hypotheses(b2, c2, points2))
     values = (an1.connected, an2.connected)
     if values[0] == values[1]:
         reasons.append(f"connected numbers agree ({values[0]} = {values[1]})")

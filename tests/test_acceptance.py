@@ -106,7 +106,7 @@ def test_criterion_2_matrix_dimensions():
     expected = {"pair1_B1": 1, "pair1_B2": 0, "pair2_B1": 0, "pair2_B2": 1}
     for name, dim in expected.items():
         b, c = split_of(load(name))
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         assert report.ok and len(report.intersection_points) == 9, name
         system = through_points(b.degree // 2, report.intersection_points)
         assert system.projective_dimension == dim, name
@@ -124,7 +124,7 @@ def test_criterion_3_connected_numbers():
         assert analysis.connected == value, name
         if value == 2:
             assert witness is not None, name
-            report = check_hypotheses(b, c)
+            report = check_hypotheses(b, c, singular_points(b.arrangement))
             for p in report.intersection_points:
                 assert witness.evaluate(p) == 0, name
             for comp in c.components:
@@ -216,7 +216,7 @@ def test_criterion_7_property_suites():
     # kernel vanishing is exact on the examples
     for name in PAIR_FILES:
         b, c = split_of(load(name))
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
         for f in (HomPoly(system.degree, v) for v in system.kernel.vectors):
             for p in report.intersection_points:

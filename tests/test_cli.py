@@ -1,6 +1,9 @@
 """CLI behaviour: reports, exit codes, determinism, SVG output."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,6 +261,34 @@ def test_render_bad_window_value_exit_1(capsys, tmp_path, value):
     assert out == ""
     assert err == f"error: --window takes integers or fractions p/q, got {value!r}\n"
     assert not out_file.exists()
+
+
+def test_render_negative_fraction_window(capsys, tmp_path):
+    out_file = tmp_path / "window.svg"
+    code, out, err = run(
+        capsys, "render", P1B1, "-o", str(out_file), "--window", "-1/2", "1/2", "-1", "1"
+    )
+    assert (code, err) == (0, "")
+    assert 'viewBox="0 0 640 1280.00"' in out_file.read_text()
+    # a missing bound is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["render", P1B1, "-o", str(out_file), "--window", "-1/2", "1/2", "-1"])
+    assert exc.value.code == 2
+
+
+def test_closed_stdout_ends_quietly():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coniclines", "compare", P1B1, P1B2],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_analyze_accepts_byte_order_mark(capsys, tmp_path):

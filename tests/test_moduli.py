@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, parse
 from coniclines import moduli
@@ -16,7 +18,13 @@ from coniclines.moduli import (
     replay_certificate,
 )
 
-from .conftest import load, random_invertible_matrix, sub_arrangement, transform_arrangement
+from .conftest import (
+    load,
+    random_arrangement,
+    random_invertible_matrix,
+    sub_arrangement,
+    transform_arrangement,
+)
 
 
 def comb_of(text: str):
@@ -183,6 +191,50 @@ def test_minimality_two_triangles():
     )
 
 
+def relabelled_image(a: Arrangement, rng: random.Random) -> Arrangement:
+    """A projective image of a with its components renamed and reordered."""
+    moved = transform_arrangement(a, random_invertible_matrix(rng))
+    names = [f"M{i}" for i in range(len(moved.components))]
+    rng.shuffle(names)
+    renamed = [Component(n, c.kind, c.form) for n, c in zip(names, moved.components)]
+    rng.shuffle(renamed)
+    return Arrangement(tuple(renamed), {})
+
+
+def class_profile(report):
+    return sorted(
+        (
+            len(s.representative),
+            s.count,
+            s.certificate.base_rule if s.certificate else None,
+        )
+        for s in report.shared_classes
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_minimality_same_from_either_side(seed):
+    rng = random.Random(seed)
+    a = random_arrangement(rng, max_lines=5, with_conic=rng.random() < 0.8)
+    b = relabelled_image(a, rng)
+    forward, backward = minimality_check(a, b), minimality_check(b, a)
+    assert class_profile(forward) == class_profile(backward)
+    assert forward.overall == backward.overall
+    assert forward.axioms_used == backward.axioms_used
+    assert sorted(d.certified for d in forward.deletions) == sorted(
+        d.certified for d in backward.deletions
+    )
+    # the classes partition the proper nonempty sub-curves of either side
+    size = len(a.components)
+    assert sum(s.count for s in forward.shared_classes) == 2**size - 2
+    for report, side in ((forward, a), (backward, b)):
+        full = combinatorics(side)
+        for s in report.shared_classes:
+            if s.certificate is not None:
+                assert replay_certificate(full.restrict(s.representative), s.certificate)
+
+
 def test_minimality_requires_equivalence(pair1_b1, pair2_b1):
     with pytest.raises(ValueError, match="equivalent"):
         minimality_check(pair1_b1, pair2_b1)
@@ -194,6 +246,20 @@ def test_minimality_report_text_stable(pair1_b1, pair1_b2):
     assert r1 == r2
     assert "overall: Minimal" in r1
     assert "at-most-9-lines axiom" in r1
+
+
+def test_minimality_report_names_unknown_class():
+    # the circle with four tangent lines: every three tangents with the
+    # conic exceed the base rule, in 4 sub-curves on each side
+    a = parse(
+        "conic C : 1 1 -1 0 0 0\nline L1 : 1 0 -1\nline L2 : 0 1 -1\n"
+        "line L3 : 1 0 1\nline L4 : 0 1 1\n"
+    )
+    report = minimality_check(a, transform_arrangement(a, ((1, 2, 0), (0, 1, 0), (1, 1, 1))))
+    assert report.overall == "Unknown"
+    text = minimality_report_text(report, "a", "b")
+    assert "    UNKNOWN: class of {C, L1, L2, L3} (4 / 4 sub-curves)\n" in text
+    assert "shared by both arrangements: 8 (7 certified)" in text
 
 
 def test_replay_rejects_wrong_certificate(pair1_b1):

@@ -1,0 +1,139 @@
+"""SVG rendering: golden pictures, the exact conic sweep, the bounded point search."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coniclines import parse
+from coniclines.arrangement import CONIC_EXPONENTS, conic_form, conic_matrix_determinant
+from coniclines.cli import main
+from coniclines.poly import HomPoly, ProjPoint
+from coniclines.render import _conic_samples, render_svg
+
+from .conftest import PAIR_FILES
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize("chart", ["x", "y", "z"])
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_render_matches_golden(name, chart, tmp_path, capsys):
+    out_file = tmp_path / "pic.svg"
+    assert main(["render", str(PAIR_FILES[name]), "-o", str(out_file), "--chart", chart]) == 0
+    capsys.readouterr()
+    golden = GOLDEN / f"render_{name}_{chart}.svg"
+    assert out_file.read_bytes() == golden.read_bytes()
+
+
+def test_verify_pairs_renders_golden(tmp_path):
+    # the script's --render writes the default chart-z picture of each file
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_pairs.py"), "--render", str(tmp_path)],
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b"verdict: all certificates obtained\n")
+    for name in PAIR_FILES:
+        golden = GOLDEN / f"render_{name}_z.svg"
+        assert (tmp_path / f"{name}.svg").read_bytes() == golden.read_bytes()
+
+
+def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
+    """The conic sweep through the rational parameter s = 3u/(1-u^2), in Fractions.
+
+    The reference the integer sweep of `_conic_samples` is compared against.
+    """
+    if abs(p0.coords[0]) == max(abs(v) for v in p0.coords):
+        d1, d2 = ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)
+    elif abs(p0.coords[1]) == max(abs(v) for v in p0.coords):
+        d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 0, 1)
+    else:
+        d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)
+
+    def polar(u, v):
+        both = tuple(a + b for a, b in zip(u, v))
+        return q.evaluate_triple(both) - q.evaluate_triple(u) - q.evaluate_triple(v)
+
+    params = []
+    for k in range(1, count):
+        u = Fraction(-1) + Fraction(2 * k, count)
+        params.append((3 * u / (1 - u * u), Fraction(1)))
+    params.append((Fraction(1), Fraction(0)))
+    samples = []
+    for s, t in params:
+        d = tuple(s * a + t * b for a, b in zip(d1.coords, d2.coords))
+        if not any(d):
+            continue
+        qd = q.evaluate_triple(d)
+        pol = polar(p0.coords, d)
+        coords = tuple(qd * a - pol * b for a, b in zip(p0.coords, d))
+        if any(coords):
+            samples.append(ProjPoint(*coords))
+    return samples
+
+
+SMALL = st.integers(-6, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(SMALL, SMALL, SMALL).filter(any),
+    st.tuples(SMALL, SMALL, SMALL, SMALL, SMALL, SMALL),
+    st.integers(16, 80),
+)
+def test_integer_sweep_equals_fraction_sweep(point, coeffs, count):
+    p0 = ProjPoint(*point)
+    # q = g * x_i^2(p0) - g(p0) * x_i^2 vanishes at p0, where x_i is a
+    # coordinate that is nonzero at p0
+    i = next(k for k, v in enumerate(p0.coords) if v)
+    square = CONIC_EXPONENTS[i]
+    x, y, z = p0.coords
+    weight = p0.coords[i] ** 2
+    shift = sum(c * x**e[0] * y**e[1] * z**e[2] for c, e in zip(coeffs, CONIC_EXPONENTS))
+    values = [c * weight - (shift if e == square else 0) for c, e in zip(coeffs, CONIC_EXPONENTS)]
+    assume(any(values))
+    q = conic_form(values)
+    assume(conic_matrix_determinant(q) != 0)
+    assert q.evaluate(p0) == 0
+    samples = _conic_samples(q, p0, count)
+    assert samples == fraction_samples(q, p0, count)
+    assert len(samples) == count
+    assert all(q.evaluate(p) == 0 for p in samples)
+
+
+def _component_paths(svg: str) -> list[str]:
+    lines = svg.splitlines()
+    start = next(i for i, l in enumerate(lines) if 'class="component"' in l)
+    end = lines.index("  </g>", start)
+    return [l for l in lines[start + 1 : end] if "<path" in l]
+
+
+@pytest.mark.parametrize(
+    "text, drawn",
+    [
+        ("conic C : 1 1 -3 0 0 0\n", True),  # real points, no rational one
+        ("conic C : 1 1 1 0 0 0\n", False),  # definite: no real points
+        ("conic C : -2 -3 -5 1 1 1\n", False),  # negative definite
+    ],
+)
+def test_point_search_is_bounded(text, drawn, monkeypatch):
+    calls = 0
+    evaluate = HomPoly.evaluate
+
+    def counting(self, p):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, p)
+
+    monkeypatch.setattr(HomPoly, "evaluate", counting)
+    svg = render_svg(parse(text))
+    # the search tries at most the 728 points of height at most 4
+    assert calls <= 728
+    assert bool(_component_paths(svg)) == drawn

@@ -41,7 +41,7 @@ def split_of(a):
 
 def test_pair1_hypotheses_pass(pair1_b1):
     b, c = split_of(pair1_b1)
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert report.ok
     assert report.violations == ()
     assert len(report.intersection_points) == 9
@@ -51,7 +51,7 @@ def test_pair1_hypotheses_pass(pair1_b1):
 @pytest.mark.parametrize("name", ["pair1_B2", "pair2_B1", "pair2_B2"])
 def test_other_examples_hypotheses_pass(name):
     b, c = split_of(load(name))
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert report.ok
     assert len(report.intersection_points) == 9
 
@@ -59,7 +59,7 @@ def test_other_examples_hypotheses_pass(name):
 def test_odd_degree_branch_rejected(pair1_b1):
     b = SubCurve(pair1_b1, ("L1",))
     c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert not report.b_even_degree
     assert any("odd" in v for v in report.violations)
 
@@ -68,7 +68,7 @@ def test_non_nodal_c_rejected(pair1_b1):
     # putting the tangent line L1 with the conic makes C carry a tacnode
     c = SubCurve(pair1_b1, ("C", "L1"))
     b = SubCurve(pair1_b1, ("L2", "L3", "L4", "L5", "L6", "L7"))
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert not report.c_nodal_smooth
     assert any("tacnode" in v for v in report.violations)
 
@@ -85,7 +85,7 @@ line L4 : 1 2 0
     # L1..L3 all pass through [0:0:1]; C = {L1, L2} has its node there
     b = SubCurve(a, ("L3", "L4"))
     c = SubCurve(a, ("L1", "L2"))
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert not report.bc_disjoint_from_nodes_of_c
 
 
@@ -98,7 +98,7 @@ line L2 : 0 1 -3
     a = parse(text)
     b = SubCurve(a, ("L1", "L2"))  # even degree
     c = SubCurve(a, ("Q",))
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert not report.all_local_mults_two
     assert any("conjugate" in v for v in report.violations)
 
@@ -107,11 +107,11 @@ def test_split_must_partition(pair1_b1):
     b = SubCurve(pair1_b1, ("C", "L4"))
     c = SubCurve(pair1_b1, ("L1", "L2", "L3"))
     with pytest.raises(ValueError, match="cover"):
-        check_hypotheses(b, c)
+        check_hypotheses(b, c, singular_points(b.arrangement))
     overlapping = SubCurve(pair1_b1, ("C", "L1", "L4", "L5", "L6", "L7"))
     c2 = SubCurve(pair1_b1, ("L1", "L2", "L3"))
     with pytest.raises(ValueError, match="share"):
-        check_hypotheses(overlapping, c2)
+        check_hypotheses(overlapping, c2, singular_points(pair1_b1))
 
 
 def test_evaluation_matrix_ranks():
@@ -121,7 +121,7 @@ def test_evaluation_matrix_ranks():
     expected = {"pair1_B1": 8, "pair1_B2": 9}
     for name, r in expected.items():
         b, c = split_of(load(name))
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         m = QMatrix.from_rows(
             [monomial_row(3, p) for p in report.intersection_points], cols=10
         )
@@ -139,7 +139,7 @@ def test_through_points_projective_dimensions():
     for name, dim in expected.items():
         a = load(name)
         b, c = split_of(a)
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
         assert system.projective_dimension == dim, name
 
@@ -148,7 +148,7 @@ def test_kernel_contains_c_part_polynomial():
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         b, c = split_of(a)
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
         product = math.prod((comp.form for comp in c.components), start=HomPoly.unit())
         vec = product.primitive().coefficient_vector()
@@ -159,7 +159,7 @@ def test_kernel_vectors_vanish_at_all_points():
     for name in ("pair1_B1", "pair2_B2"):
         a = load(name)
         b, c = split_of(a)
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
         for f in (HomPoly(system.degree, v) for v in system.kernel.vectors):
             for p in report.intersection_points:
@@ -194,7 +194,7 @@ def test_witness_properties_pair1():
     witness = analysis.witness
     assert analysis.connected == 2
     assert witness is not None
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     for p in report.intersection_points:
         assert witness.evaluate(p) == 0
     for comp in c.components:
@@ -214,7 +214,7 @@ def test_divisibility_dual_oracle():
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         b, c = split_of(a)
-        report = check_hypotheses(b, c)
+        report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
         K = system.kernel
         for comp in c.components:
@@ -247,7 +247,7 @@ line T3 : 1 0 1
     a = parse(text)
     b = SubCurve(a, ("Q",))
     c = SubCurve(a, ("T1", "T2", "T3"))
-    report = check_hypotheses(b, c)
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert report.ok
     assert len(report.intersection_points) == 3
     system = through_points(1, report.intersection_points)
@@ -309,6 +309,23 @@ def test_zariski_certificate_pair2(pair2_b1, pair2_b2):
     cert = zariski_certificate(pair2_b1, pair2_b2, ("B", "CC"), ("B", "CC"))
     assert cert.conclusion == "CandidatePair"
     assert cert.c_values == (1, 2)
+
+
+def test_zariski_certificate_finds_singular_points_once_per_arrangement(
+    pair2_b1, pair2_b2, monkeypatch
+):
+    from coniclines import incidence, splitting
+
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return singular_points(a)
+
+    monkeypatch.setattr(incidence, "singular_points", counting)
+    monkeypatch.setattr(splitting, "singular_points", counting)
+    zariski_certificate(pair2_b1, pair2_b2, ("B", "CC"), ("B", "CC"))
+    assert calls == [pair2_b1, pair2_b2]
 
 
 def test_zariski_certificate_self_is_inconclusive(pair1_b1):
