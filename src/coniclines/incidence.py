@@ -188,6 +188,8 @@ class SingularPoint:
 
     def restrict(self, keep: frozenset[str]) -> SingularPoint | None:
         """The same point on the sub-arrangement `keep`; None if it is smooth there."""
+        if keep.issuperset(self.branches):
+            return self
         mults = {pair: m for pair, m in self.pair_mults if keep.issuperset(pair)}
         return _point(self.location, mults, self.point_count) if mults else None
 

@@ -243,18 +243,29 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     # grouped into true combinatorial classes
     classes: list[dict] = []  # {key, comb, labels, count}
 
-    def register(labels: tuple[str, ...], comb: Combinatorics):
+    def register(labels: tuple[str, ...], comb: Combinatorics, size: int):
         key = _class_key(comb)
         for cls in classes:
             if cls["key"] == key and equivalences(comb, cls["comb"], find_all=False):
-                cls["count"] += 1
+                cls["count"] += size
                 return
-        classes.append({"key": key, "comb": comb, "labels": labels, "count": 1})
+        classes.append({"key": key, "comb": comb, "labels": labels, "count": size})
 
+    # an automorphism g = φ₀⁻¹∘φᵢ of arrangement 1 carries each sub-curve S
+    # onto g(S) with equivalent combinatorics, so only the first sub-curve
+    # of each orbit is restricted and its class counts the whole orbit;
+    # images[l] lists g(l) for every g
     labels = c_full1.labels
+    inverse = {v: k for k, v in matching.items()}
+    images = {l: [inverse[e[l]] for e in eqs] for l in labels}
+    seen: set[frozenset[str]] = set()
     for r in range(1, len(labels)):
         for subset in itertools.combinations(labels, r):
-            register(subset, c_full1.restrict(subset))
+            if frozenset(subset) in seen:
+                continue
+            orbit = set(map(frozenset, zip(*(images[l] for l in subset))))
+            seen |= orbit
+            register(subset, c_full1.restrict(subset), len(orbit))
 
     shared: list[SharedClassResult] = []
     axioms: set[str] = set()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +7,8 @@ import pytest
 
 from coniclines import parse
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form
+from coniclines.incidence import combinatorics, equivalences
+from coniclines.moduli import connectivity_certificate
 from coniclines.poly import HomPoly
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -30,6 +33,29 @@ def sub_arrangement(a: Arrangement, labels) -> Arrangement:
     """
     wanted = set(labels)
     return Arrangement(tuple(c for c in a.components if c.label in wanted), {})
+
+
+def every_subset_classes(a: Arrangement) -> list[tuple]:
+    """The shared classes of `minimality_check(a, ...)`, one sub-curve at a time.
+
+    The reference that the orbit sweep is compared against: every proper
+    sub-curve of a is rebuilt and looked up on its own, so a class keeps
+    its first sub-curve in `itertools.combinations` order and counts its
+    sub-curves one by one.  (representative, count, certificate) triples,
+    ordered as in the report.
+    """
+    classes = []  # [representative, combinatorics, count]
+    for r in range(1, len(a.labels)):
+        for subset in itertools.combinations(a.labels, r):
+            comb = combinatorics(sub_arrangement(a, subset))
+            for cls in classes:
+                if equivalences(comb, cls[1], find_all=False):
+                    cls[2] += 1
+                    break
+            else:
+                classes.append([subset, comb, 1])
+    triples = [(rep, n, connectivity_certificate(comb)) for rep, comb, n in classes]
+    return sorted(triples, key=lambda t: (len(t[0]), t[0]))
 
 
 @pytest.fixture(scope="session")
@@ -118,6 +144,18 @@ def transform_arrangement(a: Arrangement, m) -> Arrangement:
         for c in a.components
     )
     return Arrangement(new_components, dict(a.subcurves))
+
+
+def relabelled_image(a: Arrangement, rng: random.Random) -> Arrangement:
+    """A projective image of a with its components renamed and reordered."""
+    moved = transform_arrangement(a, random_invertible_matrix(rng))
+    names = [f"M{i}" for i in range(len(moved.components))]
+    rng.shuffle(names)
+    rename = dict(zip(moved.labels, names))
+    renamed = [Component(rename[c.label], c.kind, c.form) for c in moved.components]
+    rng.shuffle(renamed)
+    subcurves = {n: tuple(rename[l] for l in ls) for n, ls in moved.subcurves.items()}
+    return Arrangement(tuple(renamed), subcurves)
 
 
 def random_matrix_rows(rng: random.Random, max_dim: int = 12):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniclines.arrangement import Arrangement, Component, parse
+from coniclines.arrangement import Arrangement, Component, conic_form, line_form, parse
 from coniclines import moduli
-from coniclines.incidence import combinatorics
+from coniclines.incidence import Combinatorics, combinatorics
 from coniclines.moduli import (
     AXIOM_LINES,
     connectivity_certificate,
@@ -19,9 +19,11 @@ from coniclines.moduli import (
 )
 
 from .conftest import (
+    every_subset_classes,
     load,
     random_arrangement,
     random_invertible_matrix,
+    relabelled_image,
     sub_arrangement,
     transform_arrangement,
 )
@@ -191,16 +193,6 @@ def test_minimality_two_triangles():
     )
 
 
-def relabelled_image(a: Arrangement, rng: random.Random) -> Arrangement:
-    """A projective image of a with its components renamed and reordered."""
-    moved = transform_arrangement(a, random_invertible_matrix(rng))
-    names = [f"M{i}" for i in range(len(moved.components))]
-    rng.shuffle(names)
-    renamed = [Component(n, c.kind, c.form) for n, c in zip(names, moved.components)]
-    rng.shuffle(renamed)
-    return Arrangement(tuple(renamed), {})
-
-
 def class_profile(report):
     return sorted(
         (
@@ -233,6 +225,59 @@ def test_minimality_same_from_either_side(seed):
         for s in report.shared_classes:
             if s.certificate is not None:
                 assert replay_certificate(full.restrict(s.representative), s.certificate)
+
+
+@pytest.mark.parametrize("name, orbits, lookups", [("pair1", 110, 61), ("pair2", 118, 70)])
+def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, monkeypatch):
+    # of the 254 proper sub-curves only the first of each orbit of the
+    # arrangement's automorphisms is restricted and looked up among the
+    # classes; the 8 deletions are restricted too, and one more
+    # `equivalences` call matches the two arrangements
+    counts = {"restrict": 0, "equivalences": 0}
+    restrict, equivalences = Combinatorics.restrict, moduli.equivalences
+
+    def counting_restrict(self, labels):
+        counts["restrict"] += 1
+        return restrict(self, labels)
+
+    def counting_equivalences(*args, **kwargs):
+        counts["equivalences"] += 1
+        return equivalences(*args, **kwargs)
+
+    monkeypatch.setattr(Combinatorics, "restrict", counting_restrict)
+    monkeypatch.setattr(moduli, "equivalences", counting_equivalences)
+    minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
+    assert counts == {"restrict": orbits + 8, "equivalences": 1 + lookups}
+
+
+def symmetric_arrangement(rng: random.Random) -> Arrangement:
+    """Lines with many automorphisms, with or without a conic, or a random arrangement.
+
+    The lines x + t*y + t^2*z are in general position and all tangent to
+    y^2 = 4xz, so every permutation of them is an automorphism.  Adding a
+    pencil of lines through [0:0:1] gives lines of two kinds, so that one
+    class of sub-curves (a single line, say) holds several orbits.
+    """
+    kind = rng.randrange(4)
+    if kind == 3:
+        return random_arrangement(rng, max_lines=5)
+    pencil = rng.sample(range(-5, 6), rng.randint(2, 3)) if kind == 2 else []
+    ts = rng.sample([t for t in range(-5, 6) if t], rng.randint(2, (6, 5, 3)[kind]))
+    forms = [(1, s, 0) for s in pencil] + [(1, t, t * t) for t in ts]
+    components = [Component(f"L{i + 1}", "line", line_form(f)) for i, f in enumerate(forms)]
+    if kind == 1 or (kind == 2 and rng.random() < 0.5):
+        components.insert(0, Component("C", "conic", conic_form((0, 1, 0, 0, -4, 0))))
+    return Arrangement(tuple(components), {})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbit_sweep_matches_every_subset_sweep(seed):
+    rng = random.Random(seed)
+    a = symmetric_arrangement(rng)
+    report = minimality_check(a, relabelled_image(a, rng))
+    swept = [(s.representative, s.count, s.certificate) for s in report.shared_classes]
+    assert swept == every_subset_classes(a)
 
 
 def test_minimality_requires_equivalence(pair1_b1, pair2_b1):

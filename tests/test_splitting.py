@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, SubCurve, parse
 from coniclines.linalg import in_span, intersect_subspaces
@@ -19,7 +21,13 @@ from coniclines.splitting import (
 
 from coniclines.incidence import ConjugatePair, singular_points
 
-from .conftest import PAIR_FILES, load, random_invertible_matrix, transform_arrangement
+from .conftest import (
+    PAIR_FILES,
+    load,
+    random_invertible_matrix,
+    relabelled_image,
+    transform_arrangement,
+)
 from .oracles import sympy_divides
 
 PAIR1_B1_POINTS = {
@@ -309,6 +317,19 @@ def test_zariski_certificate_pair2(pair2_b1, pair2_b2):
     cert = zariski_certificate(pair2_b1, pair2_b2, ("B", "CC"), ("B", "CC"))
     assert cert.conclusion == "CandidatePair"
     assert cert.c_values == (1, 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["pair1", "pair2"]), st.integers(0, 2**32 - 1))
+def test_zariski_certificate_invariant_under_projective_relabelling(pair, seed):
+    rng = random.Random(seed)
+    a1, a2 = load(f"{pair}_B1"), load(f"{pair}_B2")
+    split = ("B", "CC")
+    base = zariski_certificate(a1, a2, split, split)
+    moved = zariski_certificate(relabelled_image(a1, rng), relabelled_image(a2, rng), split, split)
+    assert moved.conclusion == base.conclusion == "CandidatePair"
+    assert moved.c_values == base.c_values
+    assert moved.equivalence_count == base.equivalence_count
 
 
 def test_zariski_certificate_finds_singular_points_once_per_arrangement(
