@@ -134,7 +134,8 @@ def cmd_compare(args) -> int:
     out = [f"comparing {args.file1} and {args.file2}"]
     for name, a, c in ((args.file1, a1, c1), (args.file2, a2, c2)):
         summary = _count_summary(c.type_counts())
-        out.append(f"  {name}: {len(a.components)} components; {summary or 'no singular points'}")
+        n = len(a.components)
+        out.append(f"  {name}: {n} component{'s' if n != 1 else ''}; {summary or 'no singular points'}")
     eqs = equivalences(c1, c2)
     out.append(f"equivalences: {len(eqs)}")
     for m in eqs:

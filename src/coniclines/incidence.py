@@ -346,8 +346,12 @@ def equivalences(
     """All label bijections carrying c1's incidence structure onto c2's.
 
     Backtracking over fingerprint-compatible candidates with pairwise
-    profile pruning, then a full multiset check at the leaves.  An empty
-    list means the arrangements are combinatorially distinct.
+    profile pruning, then a full multiset check at the leaves, finds the
+    first equivalence φ.  Every equivalence is φ∘t₀∘…∘tₙ₋₁ in exactly one
+    way, where tᵢ is an automorphism of c1 fixing the first i labels of
+    the search order: the identity, or φ⁻¹∘ψ for the first ψ that agrees
+    with φ on those labels and sends the next one to another image.  An
+    empty list means the arrangements are combinatorially distinct.
     """
     labels1, labels2 = c1.labels, c2.labels
     if len(labels1) != len(labels2):
@@ -369,7 +373,6 @@ def equivalences(
     target = tuple(sorted(rec.mapped_key({l: l for l in labels2}) for rec in c2.points))
 
     order = sorted(labels1, key=lambda l: (len(candidates[l]), l))
-    results: list[dict[str, str]] = []
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
@@ -381,23 +384,46 @@ def equivalences(
                 return False
         return True
 
-    def extend(i: int):
+    def first(i: int, options: list[str] | None = None) -> dict[str, str] | None:
+        """The first completion of `mapping` on order[i:]; order[i] from `options` if given."""
         if i == len(order):
-            if _record_multiset(c1, mapping) == target:
-                results.append(dict(mapping))
-            return
+            return dict(mapping) if _record_multiset(c1, mapping) == target else None
         l = order[i]
-        for m in candidates[l]:
+        for m in candidates[l] if options is None else options:
             if m in used or not compatible(l, m):
                 continue
             mapping[l] = m
             used.add(m)
-            extend(i + 1)
+            found = first(i + 1)
             used.discard(m)
             del mapping[l]
-            if results and not find_all:
-                return
+            if found is not None:
+                return found
+        return None
 
-    extend(0)
-    results.sort(key=lambda mp: tuple(mp[l] for l in labels1))
-    return results
+    phi = first(0)
+    if phi is None:
+        return []
+    if not find_all:
+        return [phi]
+
+    # index tuples: position j of labels1 goes to the rank of its image in
+    # sorted(labels2), so the tuples sort as the label tuples do
+    names2 = sorted(labels2)
+    rank = {m: k for k, m in enumerate(names2)}
+    position = {l: j for j, l in enumerate(labels1)}
+    preimage = {m: position[l] for l, m in phi.items()}
+    results = [tuple(rank[phi[l]] for l in labels1)]
+    for i, l in enumerate(order):
+        # the candidates before φ(l) already failed on the way to φ
+        later = candidates[l][candidates[l].index(phi[l]) + 1 :]
+        transversal = []
+        for m in later:
+            psi = first(i, [m])
+            if psi is not None:
+                transversal.append(tuple(preimage[psi[k]] for k in labels1))
+        results += [tuple(map(p.__getitem__, t)) for p in results for t in transversal]
+        mapping[l] = phi[l]
+        used.add(phi[l])
+    results.sort()
+    return [dict(zip(labels1, (names2[k] for k in p))) for p in results]

@@ -7,7 +7,7 @@ import pytest
 
 from coniclines import parse
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form
-from coniclines.incidence import combinatorics, equivalences
+from coniclines.incidence import Combinatorics, combinatorics, equivalences
 from coniclines.moduli import connectivity_certificate
 from coniclines.poly import HomPoly
 
@@ -156,6 +156,52 @@ def relabelled_image(a: Arrangement, rng: random.Random) -> Arrangement:
     rng.shuffle(renamed)
     subcurves = {n: tuple(rename[l] for l in ls) for n, ls in moved.subcurves.items()}
     return Arrangement(tuple(renamed), subcurves)
+
+
+def symmetric_arrangement(rng: random.Random) -> Arrangement:
+    """Lines with many automorphisms, with or without a conic, or a random arrangement.
+
+    The lines x + t*y + t^2*z are in general position and all tangent to
+    y^2 = 4xz, so every permutation of them is an automorphism.  Adding a
+    pencil of lines through [0:0:1] gives lines of two kinds, so that one
+    class of sub-curves (a single line, say) holds several orbits.
+    """
+    kind = rng.randrange(4)
+    if kind == 3:
+        return random_arrangement(rng, max_lines=5)
+    pencil = rng.sample(range(-5, 6), rng.randint(2, 3)) if kind == 2 else []
+    ts = rng.sample([t for t in range(-5, 6) if t], rng.randint(2, (6, 5, 3)[kind]))
+    forms = [(1, s, 0) for s in pencil] + [(1, t, t * t) for t in ts]
+    components = [Component(f"L{i + 1}", "line", line_form(f)) for i, f in enumerate(forms)]
+    if kind == 1 or (kind == 2 and rng.random() < 0.5):
+        components.insert(0, Component("C", "conic", conic_form((0, 1, 0, 0, -4, 0))))
+    return Arrangement(tuple(components), {})
+
+
+def generic_lines(n: int) -> str:
+    """n lines x + i*y + i^2*z: no three concurrent, so every permutation is an automorphism."""
+    return "".join(f"line L{i} : 1 {i} {i * i}\n" for i in range(1, n + 1))
+
+
+def every_bijection(c1: Combinatorics, c2: Combinatorics) -> list[dict[str, str]]:
+    """The label bijections carrying c1's incidence structure onto c2's, tried one by one.
+
+    The reference that `equivalences` is compared against: every
+    permutation of c2's labels, kept when it preserves degrees and maps
+    c1's record multiset onto c2's; no fingerprints, no pruning.  Sorted
+    as `equivalences` sorts.
+    """
+    if len(c1.labels) != len(c2.labels):
+        return []
+    target = sorted(rec.mapped_key({l: l for l in c2.labels}) for rec in c2.points)
+    found = []
+    for images in itertools.permutations(c2.labels):
+        m = dict(zip(c1.labels, images))
+        if all(c1.degree_of(l) == c2.degree_of(m[l]) for l in c1.labels) and (
+            sorted(rec.mapped_key(m) for rec in c1.points) == target
+        ):
+            found.append(m)
+    return sorted(found, key=lambda m: tuple(m[l] for l in c1.labels))
 
 
 def random_matrix_rows(rng: random.Random, max_dim: int = 12):

@@ -10,7 +10,7 @@ import pytest
 
 from coniclines.cli import main
 
-from .conftest import PAIR_FILES
+from .conftest import PAIR_FILES, generic_lines
 
 P1B1 = str(PAIR_FILES["pair1_B1"])
 P1B2 = str(PAIR_FILES["pair1_B2"])
@@ -134,6 +134,25 @@ def test_compare_names_point_types_once(capsys, tmp_path):
     assert code == 0
     assert f"{f}: 4 components; 3 nodes, 1 ordinary point of multiplicity 4" in out
     assert f"conic fingerprint of {f}: 3 nodes, 1 ordinary point of multiplicity 4" in out
+
+
+def test_compare_names_one_component_in_the_singular(capsys, tmp_path):
+    f = tmp_path / "one.txt"
+    f.write_text("line L1 : 1 0 0\n")
+    code, out, _ = run(capsys, "compare", str(f), str(f))
+    assert code == 0
+    assert f"  {f}: 1 component; no singular points" in out.splitlines()
+    assert "equivalences: 1" in out
+
+
+def test_compare_lists_every_bijection_of_eight_generic_lines(capsys, tmp_path):
+    f = tmp_path / "generic_8.txt"
+    f.write_text(generic_lines(8))
+    code, out, _ = run(capsys, "compare", str(f), str(f))
+    assert code == 0
+    lines = out.splitlines()
+    assert "equivalences: 40320" in lines
+    assert sum(1 for l in lines if l.startswith("  L1->")) == 40320
 
 
 def test_split_pair1(capsys):

@@ -1,6 +1,7 @@
 """Intersections, singular-point tables, combinatorics, equivalence search."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coniclines.arrangement import Arrangement, Component, conic_form, line_form
+from coniclines import incidence
+from coniclines.arrangement import Arrangement, Component, conic_form, line_form, parse
 from coniclines.incidence import (
     ConjugatePair,
     Tangent,
@@ -28,10 +30,14 @@ from coniclines.poly import ProjPoint
 
 from .conftest import (
     PAIR_FILES,
+    every_bijection,
+    generic_lines,
     load,
     random_arrangement,
     random_invertible_matrix,
+    relabelled_image,
     sub_arrangement,
+    symmetric_arrangement,
     transform_arrangement,
 )
 from .oracles import sympy_line_conic_points
@@ -320,6 +326,58 @@ def test_combinatorics_invariant_under_projective_transform(seed):
     c1, c2 = combinatorics(a), combinatorics(transformed)
     identity = {l: l for l in c1.labels}
     assert identity in equivalences(c1, c2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["itself", "image", "other"]))
+def test_equivalences_match_every_bijection(seed, partner):
+    rng = random.Random(seed)
+    a = symmetric_arrangement(rng) if rng.random() < 0.5 else random_arrangement(rng, max_lines=6)
+    if partner == "itself":
+        b = a
+    elif partner == "image":
+        b = relabelled_image(a, rng)
+    else:
+        b = random_arrangement(rng, max_lines=6)
+    c1, c2 = combinatorics(a), combinatorics(b)
+    expected = every_bijection(c1, c2)
+    assert equivalences(c1, c2) == expected
+    if expected:
+        assert equivalences(c1, c2, find_all=False)[0] in expected
+    else:
+        assert equivalences(c1, c2, find_all=False) == []
+
+
+def leaf_checks(monkeypatch) -> list:
+    """Records one entry per full record-multiset check of `equivalences`."""
+    calls = []
+    original = incidence._record_multiset
+
+    def counting(c, mapping):
+        calls.append(None)
+        return original(c, mapping)
+
+    monkeypatch.setattr(incidence, "_record_multiset", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_generic_lines_check_one_leaf_per_transversal_element(monkeypatch, n):
+    # φ, then n - 1 - i further images at level i: 1 + n(n-1)/2 leaves, not n!
+    c = combinatorics(parse(generic_lines(n)))
+    calls = leaf_checks(monkeypatch)
+    eqs = equivalences(c, c)
+    assert len(calls) == 1 + n * (n - 1) // 2
+    assert len({tuple(m.values()) for m in eqs}) == len(eqs) == math.factorial(n)
+
+
+@pytest.mark.parametrize("name, checks", [("pair1", 6), ("pair2", 3)])
+def test_bundled_pairs_leaf_checks(monkeypatch, name, checks):
+    c1, c2 = combinatorics(load(f"{name}_B1")), combinatorics(load(f"{name}_B2"))
+    calls = leaf_checks(monkeypatch)
+    eqs = equivalences(c1, c2)
+    assert len(calls) == checks
+    assert len(eqs) == 4
 
 
 def test_tangency_plus_extra_branch_is_other():

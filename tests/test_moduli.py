@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniclines.arrangement import Arrangement, Component, conic_form, line_form, parse
+from coniclines.arrangement import Arrangement, Component, parse
 from coniclines import moduli
 from coniclines.incidence import Combinatorics, combinatorics
 from coniclines.moduli import (
@@ -25,6 +25,7 @@ from .conftest import (
     random_invertible_matrix,
     relabelled_image,
     sub_arrangement,
+    symmetric_arrangement,
     transform_arrangement,
 )
 
@@ -248,26 +249,6 @@ def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, mon
     monkeypatch.setattr(moduli, "equivalences", counting_equivalences)
     minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
     assert counts == {"restrict": orbits + 8, "equivalences": 1 + lookups}
-
-
-def symmetric_arrangement(rng: random.Random) -> Arrangement:
-    """Lines with many automorphisms, with or without a conic, or a random arrangement.
-
-    The lines x + t*y + t^2*z are in general position and all tangent to
-    y^2 = 4xz, so every permutation of them is an automorphism.  Adding a
-    pencil of lines through [0:0:1] gives lines of two kinds, so that one
-    class of sub-curves (a single line, say) holds several orbits.
-    """
-    kind = rng.randrange(4)
-    if kind == 3:
-        return random_arrangement(rng, max_lines=5)
-    pencil = rng.sample(range(-5, 6), rng.randint(2, 3)) if kind == 2 else []
-    ts = rng.sample([t for t in range(-5, 6) if t], rng.randint(2, (6, 5, 3)[kind]))
-    forms = [(1, s, 0) for s in pencil] + [(1, t, t * t) for t in ts]
-    components = [Component(f"L{i + 1}", "line", line_form(f)) for i, f in enumerate(forms)]
-    if kind == 1 or (kind == 2 and rng.random() < 0.5):
-        components.insert(0, Component("C", "conic", conic_form((0, 1, 0, 0, -4, 0))))
-    return Arrangement(tuple(components), {})
 
 
 @settings(max_examples=30, deadline=None)
