@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .poly import HomPoly
 
@@ -96,28 +96,11 @@ class Arrangement:
     subcurves: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = [c.label for c in self.components]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate component label")
-        conics = [c for c in self.components if c.kind == "conic"]
-        if len(conics) > 1:
-            raise ValueError("at most one conic is supported")
-        seen: list[Component] = []
-        for comp in self.components:
-            for prior in seen:
-                if prior.degree == comp.degree and prior.form == comp.form:
-                    raise ValueError(
-                        f"components {prior.label} and {comp.label} are proportional"
-                    )
-            seen.append(comp)
+        for i, comp in enumerate(self.components):
+            _check_component(self.components[:i], comp)
+        labels = set(self.labels)
         for name, members in self.subcurves.items():
-            if not members:
-                raise ValueError(f"sub-curve {name} is empty")
-            unknown = [m for m in members if m not in labels]
-            if unknown:
-                raise ValueError(f"sub-curve {name} references unknown label {unknown[0]}")
-            if len(set(members)) != len(members):
-                raise ValueError(f"sub-curve {name} repeats a label")
+            _check_subcurve(labels, name, members)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -150,6 +133,28 @@ class Arrangement:
         return SubCurve(self, self.subcurves[name])
 
 
+def _check_component(prior: Sequence[Component], comp: Component) -> None:
+    """Reject a component that repeats a label of, or clashes with, the ones before it."""
+    if any(p.label == comp.label for p in prior):
+        raise ValueError(f"duplicate label {comp.label}")
+    if comp.kind == "conic" and any(p.kind == "conic" for p in prior):
+        raise ValueError("more than one conic")
+    for p in prior:
+        if p.form == comp.form:
+            raise ValueError(f"component {comp.label} is proportional to {p.label}")
+
+
+def _check_subcurve(labels: set[str], name: str, members: tuple[str, ...]) -> None:
+    """Reject a sub-curve that is empty, names a label not in `labels` or repeats one."""
+    if not members:
+        raise ValueError(f"sub-curve {name} is empty")
+    for i, member in enumerate(members):
+        if member not in labels:
+            raise ValueError(f"unknown label {member} in sub-curve {name}")
+        if member in members[:i]:
+            raise ValueError(f"sub-curve {name} repeats label {member}")
+
+
 @dataclass(frozen=True)
 class SubCurve:
     """A union of components of an arrangement, selected by label."""
@@ -180,11 +185,14 @@ def _parse_number(token: str, lineno: int, col: int) -> Fraction:
 
 
 def parse(text: str) -> Arrangement:
-    """Parse and validate an arrangement file."""
+    """Parse and validate an arrangement file.
+
+    Each declaration is checked against the ones above it by the checks
+    `Arrangement` makes, and an error names the declaration's line and the
+    column of its label.
+    """
     components: list[Component] = []
-    labels: set[str] = set()
     subcurves: dict[str, tuple[str, ...]] = {}
-    conic_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
@@ -199,8 +207,6 @@ def parse(text: str) -> Arrangement:
             label, label_col = tokens[1]
             if not LABEL_RE.match(label):
                 raise ParseError(f"invalid label {label!r}", lineno, label_col)
-            if label in labels:
-                raise ParseError(f"duplicate label {label}", lineno, label_col)
             coeff_tokens = tokens[3:]
             want = 3 if keyword == "line" else 6
             if len(coeff_tokens) != want:
@@ -211,26 +217,12 @@ def parse(text: str) -> Arrangement:
                 )
             coeffs = [_parse_number(t, lineno, c) for t, c in coeff_tokens]
             try:
-                if keyword == "line":
-                    comp = Component(label, "line", line_form(coeffs))
-                else:
-                    if conic_seen:
-                        raise ParseError("more than one conic", lineno, kw_col)
-                    comp = Component(label, "conic", conic_form(coeffs))
-                    conic_seen = True
-            except ParseError:
-                raise
+                form = line_form(coeffs) if keyword == "line" else conic_form(coeffs)
+                comp = Component(label, keyword, form)
+                _check_component(components, comp)
             except ValueError as exc:
-                raise ParseError(str(exc), lineno, kw_col)
-            for prior in components:
-                if prior.degree == comp.degree and prior.form == comp.form:
-                    raise ParseError(
-                        f"component {label} is proportional to {prior.label}",
-                        lineno,
-                        label_col,
-                    )
+                raise ParseError(str(exc), lineno, label_col)
             components.append(comp)
-            labels.add(label)
 
         elif keyword == "curve":
             if len(tokens) < 3 or tokens[2][0] != "=":
@@ -240,17 +232,12 @@ def parse(text: str) -> Arrangement:
                 raise ParseError(f"invalid sub-curve name {name!r}", lineno, name_col)
             if name in subcurves:
                 raise ParseError(f"duplicate sub-curve name {name}", lineno, name_col)
-            members = tokens[3:]
-            if not members:
-                raise ParseError(f"sub-curve {name} is empty", lineno, name_col)
-            seen_members: list[str] = []
-            for member, col in members:
-                if member not in labels:
-                    raise ParseError(f"unknown label {member} in sub-curve {name}", lineno, col)
-                if member in seen_members:
-                    raise ParseError(f"sub-curve {name} repeats label {member}", lineno, col)
-                seen_members.append(member)
-            subcurves[name] = tuple(seen_members)
+            members = tuple(member for member, _col in tokens[3:])
+            try:
+                _check_subcurve({c.label for c in components}, name, members)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, name_col)
+            subcurves[name] = members
 
         else:
             raise ParseError(f"unknown declaration {keyword!r}", lineno, kw_col)

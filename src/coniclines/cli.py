@@ -11,6 +11,7 @@ import argparse
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,15 +99,16 @@ def cmd_analyze(args) -> int:
         for key in order:
             pts = groups[key]
             count = sum(p.point_count for p in pts)
+            name = pts[0].local_type.display(plural=True)
             if key == "node":
                 rational = [p for p in pts if p.is_rational]
                 conj = [p for p in pts if not p.is_rational]
                 detail = f"{len(rational)} rational"
                 if conj:
                     detail += f" + {len(conj)} conjugate pair{'s' if len(conj) != 1 else ''}"
-                out.append(f"  {key}s ({count}: {detail}):")
+                out.append(f"  {name} ({count}: {detail}):")
             else:
-                out.append(f"  {key}s ({count}):")
+                out.append(f"  {name} ({count}):")
             for p in pts:
                 if p.is_rational:
                     out.append(f"    {_branch_set(p.branches, a)} at {p.location}")
@@ -124,8 +126,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _count_summary(counts: dict[str, int]) -> str:
-    return ", ".join(f"{v} {k}{'s' if v != 1 else ''}" for k, v in sorted(counts.items()))
+def _count_summary(counts: dict[LocalType, int]) -> str:
+    ordered = sorted(counts.items(), key=lambda kv: kv[0].display())
+    return ", ".join(f"{v} {t.display(plural=v != 1)}" for t, v in ordered)
 
 
 def cmd_compare(args) -> int:
@@ -146,10 +149,7 @@ def cmd_compare(args) -> int:
         conic = a.conic
         if conic is not None:
             _, entries = component_fingerprint(c, conic.label)
-            type_counts: dict[str, int] = {}
-            for key, _others in entries:
-                label = LocalType(*key).display()
-                type_counts[label] = type_counts.get(label, 0) + 1
+            type_counts = Counter(LocalType(*key) for key, _others in entries)
             out.append(f"conic fingerprint of {name}: {_count_summary(type_counts)}")
     print("\n".join(out))
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -131,16 +132,23 @@ class LocalType:
     def key(self) -> tuple:
         return (self.kind, self.branch_count, self.signature)
 
-    def display(self) -> str:
-        if self.kind == "node":
-            return "node"
-        if self.kind == "tacnode":
-            return "tacnode"
+    def display(self, plural: bool = False) -> str:
+        """The name of the type.
+
+        A plural name ends in "s": `bench/workloads.py` finds the group
+        headers of `analyze` by it.
+        """
+        s = "s" if plural else ""
+        if self.kind in ("node", "tacnode"):
+            return self.kind + s
         if self.kind == "ordinary":
             if self.branch_count == 3:
-                return "ordinary triple point"
+                return f"ordinary triple point{s}"
+            if plural:
+                return f"ordinary {self.branch_count}-fold points"
             return f"ordinary point of multiplicity {self.branch_count}"
-        return f"other (pairwise multiplicities {list(self.signature)})"
+        name = f"other (pairwise multiplicities {list(self.signature)})"
+        return f"{name} points" if plural else name
 
 
 def classify(branch_count: int, signature: tuple[int, ...]) -> LocalType:
@@ -286,12 +294,8 @@ class Combinatorics:
                 return d
         raise KeyError(f"unknown label {label!r}")
 
-    def type_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.points:
-            name = rec.local_type.display()
-            counts[name] = counts.get(name, 0) + 1
-        return counts
+    def type_counts(self) -> dict[LocalType, int]:
+        return Counter(rec.local_type for rec in self.points)
 
     def restrict(self, labels: Iterable[str]) -> Combinatorics:
         """The incidence structure of the sub-arrangement with the given components."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .arrangement import Arrangement
 from .incidence import Combinatorics, combinatorics, equivalences
@@ -267,26 +268,28 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
             seen |= orbit
             register(subset, c_full1.restrict(subset), len(orbit))
 
-    shared: list[SharedClassResult] = []
-    axioms: set[str] = set()
-    all_certified = True
-    for cls in classes:
-        cert = connectivity_certificate(cls["comb"])
-        if cert is None:
-            all_certified = False
-        else:
-            axioms.add(AXIOM_LINES if cert.base_rule == "PureLinesAtMost9" else AXIOM_BASE)
-            if cert.order:
-                axioms.add(AXIOM_ORDERING)
-        shared.append(SharedClassResult(cls["labels"], cls["count"], cert))
-
+    shared = [
+        SharedClassResult(cls["labels"], cls["count"], connectivity_certificate(cls["comb"]))
+        for cls in classes
+    ]
     shared.sort(key=lambda s: (len(s.representative), s.representative))
     return MinimalityReport(
         deletions=tuple(deletions),
         shared_classes=tuple(shared),
-        overall="Minimal" if all_certified else "Unknown",
-        axioms_used=tuple(sorted(axioms)),
+        overall="Minimal" if all(s.certificate is not None for s in shared) else "Unknown",
+        axioms_used=_axioms_used(d.certificate for d in (*deletions, *shared)),
     )
+
+
+def _axioms_used(certificates: Iterable[OrderingCertificate | None]) -> tuple[str, ...]:
+    """The axioms the found certificates rest on, sorted."""
+    axioms: set[str] = set()
+    for cert in certificates:
+        if cert is not None:
+            axioms.add(AXIOM_LINES if cert.base_rule == "PureLinesAtMost9" else AXIOM_BASE)
+            if cert.order:
+                axioms.add(AXIOM_ORDERING)
+    return tuple(sorted(axioms))
 
 
 def minimality_report_text(

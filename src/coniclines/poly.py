@@ -2,9 +2,7 @@
 
 Components and points are primitive-integer, so coefficients and
 evaluations are plain ints throughout the analysis; rational input is
-cleared of denominators where it is parsed.  Arithmetic here keeps
-whatever number type it is given, so the renderer may still feed it
-fractions.
+cleared of denominators where it is parsed.
 
 The monomial order is fixed once for the whole package: graded
 lexicographic with x > y > z.  Every coefficient vector, evaluation row
@@ -88,14 +86,6 @@ class HomPoly:
         raise AttributeError("HomPoly is immutable")
 
     @classmethod
-    def zero(cls, degree: int) -> "HomPoly":
-        return cls(degree, [0] * monomial_count(degree))
-
-    @classmethod
-    def unit(cls) -> "HomPoly":
-        return cls(0, [1])
-
-    @classmethod
     def from_terms(cls, degree: int, terms: Mapping[tuple[int, int, int], object]) -> "HomPoly":
         index = _monomial_index(degree)
         coeffs = [0] * monomial_count(degree)
@@ -104,13 +94,6 @@ class HomPoly:
                 raise ValueError(f"exponent {expo} is not of degree {degree}")
             coeffs[index[expo]] += coeff
         return cls(degree, coeffs)
-
-    @classmethod
-    def variable(cls, name: str) -> "HomPoly":
-        if name not in VARIABLES:
-            raise ValueError(f"unknown variable {name!r}")
-        expo = tuple(int(v == name) for v in VARIABLES)
-        return cls.from_terms(1, {expo: 1})
 
     def terms(self):
         for expo, coeff in zip(monomials(self.degree), self.coeffs):
@@ -142,23 +125,6 @@ class HomPoly:
             total += coeff * (px**a) * (py**b) * (pz**c)
         return total
 
-    def __add__(self, other: "HomPoly") -> "HomPoly":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in sum")
-        return HomPoly(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, factor) -> "HomPoly":
-        return HomPoly(self.degree, [factor * c for c in self.coeffs])
-
-    def __mul__(self, other: "HomPoly") -> "HomPoly":
-        deg = self.degree + other.degree
-        index = _monomial_index(deg)
-        coeffs = [0] * monomial_count(deg)
-        for (a1, b1, c1), k1 in self.terms():
-            for (a2, b2, c2), k2 in other.terms():
-                coeffs[index[(a1 + a2, b1 + b2, c1 + c2)]] += k1 * k2
-        return HomPoly(deg, coeffs)
-
     def mul_monomial(self, expo: tuple[int, int, int]) -> "HomPoly":
         a, b, c = expo
         deg = self.degree + a + b + c
@@ -171,26 +137,6 @@ class HomPoly:
     def primitive(self) -> "HomPoly":
         """Coefficients scaled to coprime integers, first nonzero positive."""
         return HomPoly(self.degree, primitive(self.coeffs))
-
-    def substitute(self, images: tuple["HomPoly", "HomPoly", "HomPoly"]) -> "HomPoly":
-        """Linear change of variables: substitute degree-1 forms for x, y, z."""
-        if any(g.degree != 1 for g in images):
-            raise ValueError("substitution images must be degree-1 forms")
-        result = HomPoly.zero(self.degree)
-        powers: dict[tuple[int, int], HomPoly] = {}
-
-        def power(i: int, n: int) -> HomPoly:
-            if n == 0:
-                return HomPoly.unit()
-            key = (i, n)
-            if key not in powers:
-                powers[key] = power(i, n - 1) * images[i]
-            return powers[key]
-
-        for (a, b, c), coeff in self.terms():
-            term = power(0, a) * power(1, b) * power(2, c)
-            result = result + term.scale(coeff)
-        return result
 
     def __eq__(self, other):
         return (

@@ -29,7 +29,13 @@ PALETTE = (
     "#17becf",
 )
 
-CHARTS = ("x", "y", "z")
+# a chart reorders (x, y, z) so that its own coordinate comes last; a point
+# is drawn at (c0 / c2, c1 / c2) of its reordered coordinates, and a form is
+# read with its exponents reordered the same way
+CHART_ORDER = {"x": (1, 2, 0), "y": (0, 2, 1), "z": (0, 1, 2)}
+STROKE_WIDTH = 0.08
+SAMPLE_COUNT = 256
+SIZE = 640
 
 
 @dataclass(frozen=True)
@@ -41,53 +47,36 @@ class RenderConfig:
         Fraction(-12),
         Fraction(12),
     )
-    stroke_width: float = 0.08
-    colors: tuple[str, ...] = PALETTE
-    sample_count: int = 256
-    size: int = 640
 
     def __post_init__(self):
-        if self.chart not in CHARTS:
-            raise ValueError(f"chart must be one of {CHARTS}")
+        if self.chart not in CHART_ORDER:
+            raise ValueError(f"chart must be one of {tuple(CHART_ORDER)}")
         xmin, xmax, ymin, ymax = self.window
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("window is degenerate")
-        if self.sample_count < 16:
-            raise ValueError("sample count must be at least 16")
 
 
-def _chart_coords(cfg: RenderConfig, p: ProjPoint) -> tuple[Fraction, Fraction] | None:
-    x, y, z = p.coords
-    if cfg.chart == "z":
-        num = (x, y, z)
-    elif cfg.chart == "x":
-        num = (y, z, x)
-    else:
-        num = (x, z, y)
-    if num[2] == 0:
+def _chart_point(order: tuple[int, int, int], coords) -> tuple[float, float] | None:
+    c0, c1, c2 = (coords[i] for i in order)
+    if c2 == 0:
         return None
-    return Fraction(num[0], num[2]), Fraction(num[1], num[2])
+    if c2 < 0:  # 0 / -k would give -0.0, which formats as "-0.00"
+        c0, c1, c2 = -c0, -c1, -c2
+    # int true division rounds correctly, as float(Fraction(c0, c2)) does
+    return c0 / c2, c1 / c2
 
 
-def _chart_form(cfg: RenderConfig, form: HomPoly) -> HomPoly:
-    """Permute variables so the chart coordinate becomes z."""
-    x = HomPoly.variable("x")
-    y = HomPoly.variable("y")
-    z = HomPoly.variable("z")
-    if cfg.chart == "z":
-        return form
-    if cfg.chart == "x":
-        # chart coords (u, v) = (y/x, z/x): substitute x->z, y->x, z->y
-        return form.substitute((z, x, y))
-    return form.substitute((x, z, y))
+def _chart_form(order: tuple[int, int, int], form: HomPoly) -> HomPoly:
+    return HomPoly.from_terms(
+        form.degree, {tuple(e[i] for i in order): c for e, c in form.terms()}
+    )
 
 
 class _Canvas:
     def __init__(self, cfg: RenderConfig):
-        self.cfg = cfg
         xmin, xmax, ymin, ymax = (float(v) for v in cfg.window)
         self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
-        self.scale = cfg.size / (xmax - xmin)
+        self.scale = SIZE / (xmax - xmin)
         self.height = (ymax - ymin) * self.scale
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
@@ -125,7 +114,7 @@ def _clip_line_to_window(
 
 
 def _line_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
-    f = _chart_form(cfg, form)
+    f = _chart_form(CHART_ORDER[cfg.chart], form)
     a = f.coefficient((1, 0, 0))
     b = f.coefficient((0, 1, 0))
     c = f.coefficient((0, 0, 1))
@@ -227,21 +216,12 @@ def _polylines_from_chart_points(
 
 
 def _conic_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
-    q = _chart_form(cfg, form)
+    q = _chart_form(CHART_ORDER[cfg.chart], form)
     p0 = _rational_point_on_conic(q)
-    chart_cfg = RenderConfig(
-        chart="z",
-        window=cfg.window,
-        stroke_width=cfg.stroke_width,
-        sample_count=cfg.sample_count,
-        size=cfg.size,
-    )
     if p0 is not None:
-        raw = _conic_samples(q, p0, cfg.sample_count)
-        pts = []
-        for p in raw:
-            cc = _chart_coords(chart_cfg, p)
-            pts.append(None if cc is None else (float(cc[0]), float(cc[1])))
+        # the samples are points of q, already in the chart's coordinates
+        samples = _conic_samples(q, p0, SAMPLE_COUNT)
+        pts = [_chart_point(CHART_ORDER["z"], p.coords) for p in samples]
         # close the sweep so bounded conics render as loops
         pts.append(pts[0] if pts else None)
         return _polylines_from_chart_points(canvas, pts)
@@ -249,8 +229,8 @@ def _conic_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]
     a = float(q.coefficient((0, 2, 0)))
     upper: list[tuple[float, float] | None] = []
     lower: list[tuple[float, float] | None] = []
-    for k in range(cfg.sample_count + 1):
-        u = canvas.xmin + (canvas.xmax - canvas.xmin) * k / cfg.sample_count
+    for k in range(SAMPLE_COUNT + 1):
+        u = canvas.xmin + (canvas.xmax - canvas.xmin) * k / SAMPLE_COUNT
         # q(u, v, 1) = a v^2 + bv(u) v + cv(u)
         bv = float(q.coefficient((1, 1, 0))) * u + float(q.coefficient((0, 1, 1)))
         cv = (
@@ -284,7 +264,7 @@ def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:
     """Render the arrangement to a deterministic standalone SVG document."""
     cfg = cfg or RenderConfig()
     canvas = _Canvas(cfg)
-    w = cfg.size
+    w = SIZE
     h = canvas.height
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -303,9 +283,9 @@ def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:
         out.append(f'    <path d="{d}"/>')
     out.append("  </g>")
 
-    stroke_px = cfg.stroke_width * canvas.scale
+    stroke_px = STROKE_WIDTH * canvas.scale
     for idx, comp in enumerate(a.components):
-        color = cfg.colors[idx % len(cfg.colors)]
+        color = PALETTE[idx % len(PALETTE)]
         if comp.kind == "line":
             paths = _line_paths(cfg, canvas, comp.form)
         else:
@@ -326,10 +306,10 @@ def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:
     ]
     out.append('  <g class="markers" fill="#000000" font-size="12" font-family="monospace">')
     for pt in marked:
-        cc = _chart_coords(cfg, pt.location)
+        cc = _chart_point(CHART_ORDER[cfg.chart], pt.location.coords)
         if cc is None:
             continue
-        u, v = float(cc[0]), float(cc[1])
+        u, v = cc
         if not (canvas.xmin <= u <= canvas.xmax and canvas.ymin <= v <= canvas.ymax):
             continue
         px, py = canvas.to_px(u, v)

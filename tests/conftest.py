@@ -4,12 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 from coniclines import parse
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form
 from coniclines.incidence import Combinatorics, combinatorics, equivalences
 from coniclines.moduli import connectivity_certificate
-from coniclines.poly import HomPoly
+from coniclines.poly import HomPoly, monomials
+
+from .oracles import X, Y, Z, to_sympy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -133,14 +136,20 @@ def random_invertible_matrix(rng: random.Random) -> tuple[tuple[int, ...], ...]:
             return m
 
 
+def from_sympy(expr, degree: int) -> HomPoly:
+    """The degree-`degree` form of a sympy polynomial in x, y, z, read in `monomials` order."""
+    terms = sp.Poly(expr, X, Y, Z).as_dict()
+    return HomPoly(degree, [int(terms.get(e, 0)) for e in monomials(degree)])
+
+
 def transform_arrangement(a: Arrangement, m) -> Arrangement:
-    """Apply the linear substitution (x, y, z) -> m * (x, y, z) to every form."""
-    images = tuple(
-        HomPoly.from_terms(1, {(1, 0, 0): m[i][0], (0, 1, 0): m[i][1], (0, 0, 1): m[i][2]})
-        for i in range(3)
-    )
+    """Apply the linear substitution (x, y, z) -> m * (x, y, z) to every form.
+
+    The substitution runs in sympy, apart from the package's own algebra.
+    """
+    images = {v: row[0] * X + row[1] * Y + row[2] * Z for v, row in zip((X, Y, Z), m)}
     new_components = tuple(
-        Component(c.label, c.kind, c.form.substitute(images).primitive())
+        Component(c.label, c.kind, from_sympy(to_sympy(c.form).xreplace(images), c.degree))
         for c in a.components
     )
     return Arrangement(new_components, dict(a.subcurves))

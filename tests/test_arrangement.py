@@ -97,6 +97,35 @@ def test_unknown_label_in_subcurve():
         parse("line L1 : 1 0 0\ncurve B = L1 L2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("line L1 : 1 0 0\nline L2 : 0 1 0\nline L1 : 1 1 0\n", 3, "duplicate label L1"),
+        ("conic C : 1 1 -1 0 0 0\nline L1 : 1 0 0\nconic D : 1 1 -4 0 0 0\n", 3,
+         "more than one conic"),
+        ("line L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : -3 0 0\n", 3,
+         "component L3 is proportional to L1"),
+        ("line L1 : 1 0 0\ncurve B =\n", 2, "sub-curve B is empty"),
+        ("line L1 : 1 0 0\ncurve B = L1 L2\n", 2, "unknown label L2 in sub-curve B"),
+        ("line L1 : 1 0 0\ncurve B = L1 L1\n", 2, "sub-curve B repeats label L1"),
+        # a sub-curve sees only the components declared above it
+        ("curve B = L1\nline L1 : 1 0 0\n", 1, "unknown label L1 in sub-curve B"),
+        ("line L1 : 1 0 0\ncurve B = L1 L2\nline L2 : 0 1 0\n", 2,
+         "unknown label L2 in sub-curve B"),
+        # the first faulty declaration is reported
+        ("line L1 : 1 0 0\ncurve B = L9\nline L1 : 0 1 0\n", 2,
+         "unknown label L9 in sub-curve B"),
+        ("line L1 : 1 0 0\nline L2 : 2 0 0\ncurve B = L9\n", 2,
+         "component L2 is proportional to L1"),
+    ],
+)
+def test_validation_error_names_the_offending_declaration(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value).endswith(f": {message}")
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse("line L1 : 1 0\n")
@@ -148,10 +177,9 @@ def test_arrangement_validation_direct():
 
 
 def test_proportional_components_rejected_before_normalization():
-    f = HomPoly.from_terms(1, {(1, 0, 0): 1, (0, 1, 0): -2, (0, 0, 1): 3})
-    l1 = Component("L1", "line", f)
-    l2 = Component("L2", "line", f.scale(2))
-    l3 = Component("L3", "line", f.scale(Fraction(-1, 3)))
+    l1 = Component("L1", "line", HomPoly(1, (1, -2, 3)))
+    l2 = Component("L2", "line", HomPoly(1, (2, -4, 6)))
+    l3 = Component("L3", "line", HomPoly(1, (Fraction(-1, 3), Fraction(2, 3), -1)))
     assert l1.form == l2.form == l3.form
     with pytest.raises(ValueError, match="proportional"):
         Arrangement((l1, l2), {})

@@ -136,6 +136,36 @@ def test_compare_names_point_types_once(capsys, tmp_path):
     assert f"conic fingerprint of {f}: 3 nodes, 1 ordinary point of multiplicity 4" in out
 
 
+@pytest.mark.parametrize(
+    "text, header, summary",
+    [
+        # x, y, x+y, x-y meet at [0:0:1]; z, y+z, y-z and x meet at [0:1:0]
+        (
+            "line L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : 1 1 0\nline L4 : 1 -1 0\n"
+            "line L5 : 0 0 1\nline L6 : 0 1 1\nline L7 : 0 1 -1\n",
+            "  ordinary 4-fold points (2):",
+            "7 components; 9 nodes, 2 ordinary 4-fold points",
+        ),
+        # x is tangent to y^2 = 4xz at [0:0:1], which y also passes through
+        (
+            "conic C : 0 1 0 0 -4 0\nline L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : 1 1 1\n",
+            "  other (pairwise multiplicities [1, 1, 2]) points (1):",
+            "4 components; 3 nodes, 1 other (pairwise multiplicities [1, 1, 2]), 1 tacnode",
+        ),
+    ],
+)
+def test_point_types_are_named_in_the_plural(capsys, tmp_path, text, header, summary):
+    f = tmp_path / "a.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, "analyze", str(f))
+    assert code == 0
+    assert header in out.splitlines()
+    assert not re.search(r"\ds|\)s", out)
+    code, out, _ = run(capsys, "compare", str(f), str(f))
+    assert code == 0
+    assert f"  {f}: {summary}" in out.splitlines()
+
+
 def test_compare_names_one_component_in_the_singular(capsys, tmp_path):
     f = tmp_path / "one.txt"
     f.write_text("line L1 : 1 0 0\n")

@@ -261,6 +261,16 @@ def test_orbit_sweep_matches_every_subset_sweep(seed):
     assert swept == every_subset_classes(a)
 
 
+def test_minimality_lists_the_axioms_of_the_deletions():
+    # deleting the only line leaves no proper sub-curve to share, so the
+    # deletion's certificate is the only one that uses an axiom
+    a = parse("line L1 : 1 0 0\n")
+    report = minimality_check(a, a)
+    assert report.shared_classes == ()
+    assert report.deletions[0].certificate.base_rule == "PureLinesAtMost9"
+    assert report.axioms_used == (moduli.AXIOM_LINES,)
+
+
 def test_minimality_requires_equivalence(pair1_b1, pair2_b1):
     with pytest.raises(ValueError, match="equivalent"):
         minimality_check(pair1_b1, pair2_b1)

@@ -12,8 +12,15 @@ from hypothesis import strategies as st
 from coniclines import parse
 from coniclines.arrangement import CONIC_EXPONENTS, conic_form, conic_matrix_determinant
 from coniclines.cli import main
-from coniclines.poly import HomPoly, ProjPoint
-from coniclines.render import _conic_samples, render_svg
+from coniclines.poly import HomPoly, ProjPoint, monomial_count
+from coniclines.render import (
+    CHART_ORDER,
+    RenderConfig,
+    _chart_form,
+    _chart_point,
+    _conic_samples,
+    render_svg,
+)
 
 from .conftest import PAIR_FILES
 
@@ -32,14 +39,18 @@ def test_render_matches_golden(name, chart, tmp_path, capsys):
 
 
 def test_verify_pairs_renders_golden(tmp_path):
-    # the script's --render writes the default chart-z picture of each file
+    # the script's --render writes the default chart-z picture of each file;
+    # its stdout is golden once the output directory reads OUTDIR
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "verify_pairs.py"), "--render", str(tmp_path)],
         capture_output=True,
+        text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith(b"verdict: all certificates obtained\n")
+    assert proc.stdout.endswith("verdict: all certificates obtained\n")
+    stdout = proc.stdout.replace(f"wrote {tmp_path}", "wrote OUTDIR")
+    assert stdout == (GOLDEN / "verify_pairs.txt").read_text(encoding="utf-8")
     for name in PAIR_FILES:
         golden = GOLDEN / f"render_{name}_z.svg"
         assert (tmp_path / f"{name}.svg").read_bytes() == golden.read_bytes()
@@ -80,6 +91,35 @@ def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
 
 
 SMALL = st.integers(-6, 6)
+
+
+@pytest.mark.parametrize("chart", sorted(CHART_ORDER))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data(), st.tuples(SMALL, SMALL, SMALL))
+def test_chart_form_at_chart_point_is_the_form_at_the_point(chart, degree, data, coords):
+    n = monomial_count(degree)
+    f = HomPoly(degree, data.draw(st.lists(SMALL, min_size=n, max_size=n)))
+    order = CHART_ORDER[chart]
+    moved = tuple(coords[i] for i in order)
+    assert _chart_form(order, f).evaluate_triple(moved) == f.evaluate_triple(coords)
+
+
+@pytest.mark.parametrize("chart", sorted(CHART_ORDER))
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(-(10**30), 10**30), SMALL, st.integers(-(10**30), 10**30)))
+def test_chart_point_is_the_rounded_fraction(chart, coords):
+    c0, c1, c2 = (coords[i] for i in CHART_ORDER[chart])
+    expected = None if c2 == 0 else (float(Fraction(c0, c2)), float(Fraction(c1, c2)))
+    # repr tells -0.0 from 0.0, which the SVG text would show as "-0.00"
+    assert repr(_chart_point(CHART_ORDER[chart], coords)) == repr(expected)
+
+
+def test_marker_on_a_negative_third_coordinate_is_not_drawn_at_minus_zero():
+    # the triple point [0 : 1 : -1] lies on the window's left edge
+    a = parse("line L1 : 1 0 0\nline L2 : 0 1 1\nline L3 : 1 1 1\n")
+    window = (Fraction(0), Fraction(2), Fraction(-2), Fraction(2))
+    svg = render_svg(a, RenderConfig(window=window))
+    assert '<circle cx="0.00" cy="960.00" r="3.5"/>' in svg
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,9 +1,9 @@
 """Splitting hypotheses, linear systems, connected numbers, certificates."""
 
-import math
 import random
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +23,13 @@ from coniclines.incidence import ConjugatePair, singular_points
 
 from .conftest import (
     PAIR_FILES,
+    from_sympy,
     load,
     random_invertible_matrix,
     relabelled_image,
     transform_arrangement,
 )
-from .oracles import sympy_divides
+from .oracles import sympy_divides, to_sympy
 
 PAIR1_B1_POINTS = {
     ProjPoint(0, -5, 1),
@@ -158,8 +159,8 @@ def test_kernel_contains_c_part_polynomial():
         b, c = split_of(a)
         report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
-        product = math.prod((comp.form for comp in c.components), start=HomPoly.unit())
-        vec = product.primitive().coefficient_vector()
+        product = sp.Mul(*(to_sympy(comp.form) for comp in c.components))
+        vec = from_sympy(product, c.degree).primitive().coefficient_vector()
         assert in_span(vec, system.kernel)
 
 
