@@ -19,7 +19,7 @@ from .incidence import (
     intersect_lines,
     singular_points,
 )
-from .linalg import QMatrix, QVectorBasis, in_span, intersect_subspaces, kernel_basis, rank
+from .linalg import QMatrix, QVectorBasis, in_span, kernel_basis, rank
 from .moduli import (
     MinimalityReport,
     OrderingCertificate,
@@ -68,7 +68,6 @@ __all__ = [
     "in_span",
     "intersect_line_conic",
     "intersect_lines",
-    "intersect_subspaces",
     "kernel_basis",
     "minimality_check",
     "monomial_row",

@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
 
 def _count_summary(counts: dict[LocalType, int]) -> str:
     ordered = sorted(counts.items(), key=lambda kv: kv[0].display())
-    return ", ".join(f"{v} {t.display(plural=v != 1)}" for t, v in ordered)
+    return ", ".join(f"{v} {t.display(plural=v != 1)}" for t, v in ordered) or "no singular points"
 
 
 def cmd_compare(args) -> int:
@@ -138,7 +138,7 @@ def cmd_compare(args) -> int:
     for name, a, c in ((args.file1, a1, c1), (args.file2, a2, c2)):
         summary = _count_summary(c.type_counts())
         n = len(a.components)
-        out.append(f"  {name}: {n} component{'s' if n != 1 else ''}; {summary or 'no singular points'}")
+        out.append(f"  {name}: {n} component{'s' if n != 1 else ''}; {summary}")
     eqs = equivalences(c1, c2)
     out.append(f"equivalences: {len(eqs)}")
     for m in eqs:

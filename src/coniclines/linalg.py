@@ -1,11 +1,11 @@
 """Exact linear algebra over the integers.
 
 Everything downstream (evaluation matrices, linear systems of curves,
-divisibility subspaces) reduces to rank / kernel / subspace computations
-here.  Every form, point and kernel vector in the package is already
-primitive-integer, so matrices hold plain ints; rational rows are cleared
-of denominators once, on entry, since row scaling changes neither rank nor
-kernel.  Elimination is fraction-free (Bareiss), and so is kernel
+divisibility subspaces) reduces to rank, kernel and span-membership
+computations here.  Every form, point and kernel vector in the package is
+already primitive-integer, so matrices hold plain ints; rational rows are
+cleared of denominators once, on entry, since row scaling changes neither
+rank nor kernel.  Elimination is fraction-free (Bareiss), and so is kernel
 back-substitution: intermediate entries stay integers and no rounding ever
 happens.  Pivoting is first-nonzero-in-column-order: determinism matters,
 numerical stability does not.
@@ -150,33 +150,6 @@ def kernel_basis(m: QMatrix) -> QVectorBasis:
             v[pc] = -s // piv
         vectors.append(primitive(v))
     return QVectorBasis(m.cols, tuple(vectors))
-
-
-def intersect_subspaces(a: QVectorBasis, b: QVectorBasis) -> QVectorBasis:
-    """Basis of span(a) ∩ span(b)."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient dimension mismatch: {a.ambient_dim} vs {b.ambient_dim}")
-    if a.dim == 0 or b.dim == 0:
-        return QVectorBasis(a.ambient_dim, ())
-    # Columns: the a-vectors then the b-vectors.  A kernel vector w of this
-    # matrix encodes sum w_i a_i = -sum w_{ka+j} b_j, i.e. an intersection
-    # element; the map w -> sum w_i a_i is injective on the kernel, so the
-    # images form a basis (Grassmann: dim ker = dim a + dim b - dim(a+b)).
-    stacked = QMatrix.from_rows(
-        [
-            tuple(v[i] for v in a.vectors) + tuple(v[i] for v in b.vectors)
-            for i in range(a.ambient_dim)
-        ],
-        cols=a.dim + b.dim,
-    )
-    vectors = []
-    for w in kernel_basis(stacked).vectors:
-        combo = [
-            sum(w[k] * a.vectors[k][i] for k in range(a.dim))
-            for i in range(a.ambient_dim)
-        ]
-        vectors.append(primitive(combo))
-    return QVectorBasis(a.ambient_dim, tuple(vectors))
 
 
 def in_span(v: Sequence, b: QVectorBasis) -> bool:

@@ -146,23 +146,24 @@ def connectivity_certificate(c: Combinatorics) -> OrderingCertificate | None:
 
 
 def replay_certificate(c: Combinatorics, cert: OrderingCertificate) -> bool:
-    """Re-validate a certificate against the combinatorics it claims to certify."""
+    """Re-validate a certificate against the combinatorics it claims to certify.
+
+    A malformed certificate (a label missing, unknown or listed twice, or
+    an n-value count that differs from the order's length) is rejected.
+    """
+    if sorted((*cert.base, *cert.order)) != sorted(c.labels):
+        return False
+    if len(cert.order) != len(cert.n_values):
+        return False
     if cert.base_rule == "PureLinesAtMost9":
-        return (
-            all(d == 1 for _, d in c.degrees)
-            and len(c.degrees) <= 9
-            and set(cert.base) == set(c.labels)
-            and not cert.order
-        )
+        return all(d == 1 for _, d in c.degrees) and len(c.degrees) <= 9 and not cert.order
     conics = [l for l, d in c.degrees if d == 2]
-    if len(conics) != 1 or conics[0] != cert.base[0]:
+    if len(conics) != 1 or list(cert.base[:1]) != conics:
         return False
     if set(cert.base[1:]) != set(_tangent_lines(c, conics[0])) or len(cert.base) > 3:
         return False
-    if set(cert.base) | set(cert.order) != set(c.labels):
-        return False
     prior = set(cert.base)
-    for line, expected in zip(cert.order, cert.n_values, strict=True):
+    for line, expected in zip(cert.order, cert.n_values):
         if n_value(c, line, prior) != expected or expected > 2:
             return False
         prior.add(line)

@@ -6,8 +6,11 @@ local multiplicity 2 everywhere), the double cover branched along B pulls
 C \\ B back to either 1 or 2 connected pieces.  The verdict reduces to
 exact linear algebra: it is 2 exactly when some curve of degree deg(B)/2
 passes through all points of B ∩ C without containing a component of C.
-Over the rationals a nonzero space is never a finite union of proper
-subspaces, so comparing kernel dimensions decides existence.
+The curves containing a component c form c·S, the span of c times every
+form of degree deg(B)/2 − deg c.  Over the rationals a nonzero space is
+never a finite union of proper subspaces, so such a curve exists exactly
+when the kernel K of the system lies in no c·S: one rank test per
+component, rank(c·S + K) > dim c·S.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement, SubCurve
 from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
-from .linalg import QMatrix, QVectorBasis, in_span, intersect_subspaces, kernel_basis
+from .linalg import QMatrix, QVectorBasis, in_span, kernel_basis, rank
 from .poly import HomPoly, ProjPoint, monomial_count, monomial_row, multiplication_image
 
 INVARIANCE_AXIOM = (
@@ -155,15 +158,6 @@ def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> Line
     return LinearSystem(n, pts, kernel_basis(matrix))
 
 
-def _component_subspaces(c: SubCurve, n: int, kernel: QVectorBasis) -> list[QVectorBasis]:
-    """Per component of C, the curves of the system that it divides."""
-    return [
-        intersect_subspaces(kernel, multiplication_image(comp.form, n))
-        for comp in c.components
-        if comp.degree <= n  # a higher-degree component divides no degree-n form
-    ]
-
-
 @dataclass(frozen=True)
 class SplitAnalysis:
     """Everything the `split` command reports for one (B, C) split."""
@@ -199,11 +193,15 @@ def analyze_split(
     kernel = system.kernel
     value, witness = 1, None
     if kernel.dim > 0:
-        subspaces = _component_subspaces(c, n, kernel)
-        # a subspace as large as the kernel means every curve of the
-        # system contains that component of C
-        if all(sub.dim < kernel.dim for sub in subspaces):
-            value, witness = 2, _find_witness(n, kernel, subspaces)
+        # a higher-degree component divides no degree-n form
+        images = [multiplication_image(comp.form, n) for comp in c.components if comp.degree <= n]
+        # both bases are independent, so every curve of the system contains
+        # a component exactly when stacking the kernel onto its image adds no rank
+        if all(
+            rank(QMatrix.from_rows(img.vectors + kernel.vectors, cols=img.ambient_dim)) > img.dim
+            for img in images
+        ):
+            value, witness = 2, _find_witness(n, kernel, images)
     return SplitAnalysis(
         b.labels, c.labels, b.degree, c.degree, report, system, value, witness
     )
@@ -221,7 +219,7 @@ def _find_witness(
         ]
         if not any(vec):
             continue
-        if all(not in_span(vec, sub) for sub in avoid):
+        if all(not in_span(vec, img) for img in avoid):
             return HomPoly(n, vec).primitive()
     raise RuntimeError("no witness found; the subspace data is inconsistent")
 

@@ -175,6 +175,15 @@ def test_compare_names_one_component_in_the_singular(capsys, tmp_path):
     assert "equivalences: 1" in out
 
 
+def test_compare_conic_without_singular_points(capsys, tmp_path):
+    conic, line = tmp_path / "conic.txt", tmp_path / "line.txt"
+    conic.write_text("conic C : 1 1 -1 0 0 0\n")
+    line.write_text("line L1 : 1 0 0\n")
+    code, out, _ = run(capsys, "compare", str(conic), str(line))
+    assert code == 0
+    assert f"conic fingerprint of {conic}: no singular points" in out.splitlines()
+
+
 def test_compare_lists_every_bijection_of_eight_generic_lines(capsys, tmp_path):
     f = tmp_path / "generic_8.txt"
     f.write_text(generic_lines(8))

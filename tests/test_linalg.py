@@ -11,7 +11,6 @@ from coniclines.linalg import (
     QMatrix,
     QVectorBasis,
     in_span,
-    intersect_subspaces,
     kernel_basis,
     primitive,
     rank,
@@ -66,35 +65,6 @@ def test_kernel_vectors_are_primitive_integer():
 def test_primitive_normalization():
     assert primitive([Fraction(-1, 2), Fraction(3, 4), 0]) == (2, -3, 0)
     assert primitive([0, 0, 0]) == (0, 0, 0)
-
-
-def test_intersect_same_span():
-    e1 = (Fraction(1), Fraction(0), Fraction(0))
-    b = QVectorBasis(3, (e1,))
-    out = intersect_subspaces(b, b)
-    assert out.dim == 1
-    assert out.vectors[0] == e1
-
-
-def test_intersect_disjoint_spans():
-    e1 = (Fraction(1), Fraction(0), Fraction(0))
-    e2 = (Fraction(0), Fraction(1), Fraction(0))
-    out = intersect_subspaces(QVectorBasis(3, (e1,)), QVectorBasis(3, (e2,)))
-    assert out.dim == 0
-
-
-def test_intersect_overlapping_spans():
-    e1 = (Fraction(1), Fraction(0), Fraction(0))
-    e2 = (Fraction(0), Fraction(1), Fraction(0))
-    e3 = (Fraction(0), Fraction(0), Fraction(1))
-    out = intersect_subspaces(QVectorBasis(3, (e1, e2)), QVectorBasis(3, (e2, e3)))
-    assert out.dim == 1
-    assert out.vectors[0] == e2
-
-
-def test_intersect_dimension_mismatch():
-    with pytest.raises(ValueError):
-        intersect_subspaces(QVectorBasis(3, ()), QVectorBasis(4, ()))
 
 
 def test_in_span_zero_vector():

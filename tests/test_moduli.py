@@ -1,5 +1,6 @@
 """Connectivity certificates: n-values, ordering search, minimality driver."""
 
+import dataclasses
 import random
 
 import pytest
@@ -304,3 +305,23 @@ def test_replay_rejects_wrong_certificate(pair1_b1):
     cert = connectivity_certificate(c)
     other = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L5"])
     assert not replay_certificate(combinatorics(other), cert)
+
+
+@pytest.mark.parametrize(
+    "drop, change",
+    [
+        pytest.param("L4", {"order": ("L3", "L3", "L5", "L7", "L6"), "n_values": (0, 0, 0, 2, 2)},
+                     id="line-repeated-in-order"),
+        pytest.param("L4", {"order": ("L2", "L3", "L5", "L7", "L6"), "n_values": (0, 0, 0, 2, 2)},
+                     id="base-line-in-order"),
+        pytest.param("L4", {"n_values": (0, 0, 2)}, id="n-values-shorter-than-order"),
+        pytest.param("L4", {"base": ()}, id="empty-base"),
+        pytest.param("C", {"base": ("L1", "L1", "L2", "L3", "L4", "L5", "L6", "L7")},
+                     id="pure-lines-base-repeats-a-line"),
+    ],
+)
+def test_replay_rejects_malformed_certificate(pair1_b1, drop, change):
+    c = combinatorics(sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != drop]))
+    cert = connectivity_certificate(c)
+    assert replay_certificate(c, cert)
+    assert replay_certificate(c, dataclasses.replace(cert, **change)) is False

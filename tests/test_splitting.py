@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, SubCurve, parse
-from coniclines.linalg import in_span, intersect_subspaces
+from coniclines.linalg import QMatrix, in_span, rank
 from coniclines.poly import HomPoly, ProjPoint, multiplication_image
 from coniclines.splitting import (
     SplitHypothesisError,
@@ -194,7 +194,12 @@ def test_connected_numbers_of_both_pairs():
     }
     for name, expected in values.items():
         b, c = split_of(load(name))
-        assert analyze_split(b, c).connected == expected, name
+        analysis = analyze_split(b, c)
+        assert analysis.connected == expected, name
+        # every system is nonempty, so each value 1 comes from a component
+        # of C containing the whole kernel, not from an empty kernel
+        assert analysis.system.kernel.dim > 0, name
+        assert (analysis.witness is not None) == (expected == 2), name
 
 
 def test_witness_properties_pair1():
@@ -219,7 +224,7 @@ def test_witness_properties_pair2():
 
 
 def test_divisibility_dual_oracle():
-    # subspace-intersection verdict == sympy's exact polynomial division, on K's basis
+    # span-membership and rank verdicts == sympy's exact polynomial division, on K's basis
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         b, c = split_of(a)
@@ -229,12 +234,11 @@ def test_divisibility_dual_oracle():
         for comp in c.components:
             if comp.degree > 3:
                 continue
-            sub = intersect_subspaces(K, multiplication_image(comp.form, 3))
-            assert sub.dim <= K.dim
-            for v in K.vectors:
-                by_subspace = in_span(v, sub)
-                by_division = sympy_divides(HomPoly(3, v), comp.form)
-                assert by_subspace == by_division
+            img = multiplication_image(comp.form, 3)
+            divides = [sympy_divides(HomPoly(3, v), comp.form) for v in K.vectors]
+            assert [in_span(v, img) for v in K.vectors] == divides
+            stacked = QMatrix.from_rows(img.vectors + K.vectors, cols=img.ambient_dim)
+            assert (rank(stacked) == img.dim) == all(divides)
 
 
 def test_connected_number_requires_hypotheses(pair1_b1):
