@@ -7,17 +7,19 @@ comment:
     conic C  : 1 1 1 -2 -2 -2     # x^2, y^2, z^2, xy, xz, yz
     curve B  = C L4 L5 L6 L7      # a named sub-curve
 
-Coefficients are integers or fractions p/q.  At most one conic is
-accepted and it must be smooth; components are stored with primitive
+Coefficients are integers or fractions p/q, with no decimal point or
+exponent.  Each declaration is scaled by the lcm of its denominators
+where it is parsed, so no fraction goes past `parse`.  At most one conic
+is accepted and it must be smooth; components are stored with primitive
 integer coefficients, first nonzero positive, so proportional inputs are
 detected exactly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .poly import HomPoly
@@ -37,16 +39,26 @@ class ParseError(ValueError):
         self.column = column
 
 
-def line_form(coeffs: Iterable) -> HomPoly:
-    a, b, c = (Fraction(v) for v in coeffs)
-    return HomPoly.from_terms(1, dict(zip(LINE_EXPONENTS, (a, b, c)))).primitive()
+def parse_rational(token: str) -> tuple[int, int]:
+    """Numerator and denominator of a token p or p/q with q > 0, else a ValueError.
+
+    A decimal point or an exponent is refused before any arithmetic.
+    """
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", token)
+    if m is None:
+        raise ValueError(f"not an integer or fraction p/q: {token!r}")
+    return int(m[1]), int(m[2] or 1)
 
 
-def conic_form(coeffs: Iterable) -> HomPoly:
-    vals = tuple(Fraction(v) for v in coeffs)
+def line_form(coeffs: Iterable[int]) -> HomPoly:
+    return HomPoly(1, coeffs)
+
+
+def conic_form(coeffs: Iterable[int]) -> HomPoly:
+    vals = tuple(coeffs)
     if len(vals) != 6:
         raise ValueError("a conic takes six coefficients")
-    return HomPoly.from_terms(2, dict(zip(CONIC_EXPONENTS, vals))).primitive()
+    return HomPoly.from_terms(2, dict(zip(CONIC_EXPONENTS, vals)))
 
 
 def conic_matrix_determinant(form: HomPoly) -> int:
@@ -177,13 +189,6 @@ class SubCurve:
         return sum(c.degree for c in self.components)
 
 
-def _parse_number(token: str, lineno: int, col: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected integer or fraction, got {token!r}", lineno, col)
-
-
 def parse(text: str) -> Arrangement:
     """Parse and validate an arrangement file.
 
@@ -215,7 +220,14 @@ def parse(text: str) -> Arrangement:
                     lineno,
                     coeff_tokens[0][1] if coeff_tokens else kw_col,
                 )
-            coeffs = [_parse_number(t, lineno, c) for t, c in coeff_tokens]
+            ratios = []
+            for token, col in coeff_tokens:
+                try:
+                    ratios.append(parse_rational(token))
+                except ValueError:
+                    raise ParseError(f"expected integer or fraction, got {token!r}", lineno, col)
+            den = math.lcm(*(d for _, d in ratios))
+            coeffs = [n * (den // d) for n, d in ratios]
             try:
                 form = line_form(coeffs) if keyword == "line" else conic_form(coeffs)
                 comp = Component(label, keyword, form)

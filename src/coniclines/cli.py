@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success (and CandidatePair), 1 input
-error, 2 hypothesis violation, 3 inconclusive result.  All output is
-deterministic, so every command is golden-file testable.
+error, 2 hypothesis violation, 3 inconclusive result, 4 internal error.
+All output is deterministic, so every command is golden-file testable.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import argparse
 import os
 import re
 import sys
+import traceback
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from .arrangement import Arrangement, parse
+from .arrangement import Arrangement, parse, parse_rational
 from .incidence import (
     ConjugatePair,
     LocalType,
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str) -> Arrangement:
@@ -228,8 +230,8 @@ def cmd_render(args) -> int:
     window = []
     for w in args.window or ():
         try:
-            window.append(Fraction(w))
-        except (ValueError, ZeroDivisionError):
+            window.append(Fraction(*parse_rational(w)))
+        except ValueError:
             raise ValueError(f"--window takes integers or fractions p/q, got {w!r}") from None
     # RenderConfig rejects a degenerate window with a ValueError, which main reports
     cfg = (
@@ -316,6 +318,12 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a fault of the program: one line (repr escapes newlines) naming where it was raised
+        site = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(site.filename).name}:{site.lineno}"
+        print(f"internal error: {exc!r} at {where}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -51,8 +51,7 @@ def intersect_lines(l1: Component, l2: Component) -> ProjPoint:
     """The unique common point of two non-proportional lines (cross product)."""
     if l1.kind != "line" or l2.kind != "line":
         raise ValueError("intersect_lines expects two lines")
-    a = [l1.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    b = [l2.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    a, b = l1.form.coeffs, l2.form.coeffs
     cross = (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -71,7 +70,7 @@ def _line_points(line: Component) -> tuple[tuple, tuple]:
     tuples, not ProjPoints: the discriminant arithmetic needs
     unnormalized linear combinations.
     """
-    a, b, c = (line.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    a, b, c = line.form.coeffs
     if a:
         v1, v2 = (-b, a, 0), (-c, 0, a)
     else:

@@ -3,12 +3,11 @@
 Everything downstream (evaluation matrices, linear systems of curves,
 divisibility subspaces) reduces to rank, kernel and span-membership
 computations here.  Every form, point and kernel vector in the package is
-already primitive-integer, so matrices hold plain ints; rational rows are
-cleared of denominators once, on entry, since row scaling changes neither
-rank nor kernel.  Elimination is fraction-free (Bareiss), and so is kernel
-back-substitution: intermediate entries stay integers and no rounding ever
-happens.  Pivoting is first-nonzero-in-column-order: determinism matters,
-numerical stability does not.
+primitive-integer, so vectors and matrices hold plain ints.  Elimination
+is fraction-free (Bareiss), and so is kernel back-substitution:
+intermediate entries stay integers and no rounding ever happens.
+Pivoting is first-nonzero-in-column-order: determinism matters, numerical
+stability does not.
 """
 
 from __future__ import annotations
@@ -20,21 +19,14 @@ from typing import Iterable, Sequence
 QVector = tuple[int, ...]
 
 
-def _integer_multiple(vec: Iterable) -> QVector:
-    """The vector scaled by the lcm of its denominators: a tuple of ints."""
-    vec = tuple(vec)
-    den = math.lcm(*(e.denominator for e in vec))
-    return tuple(e.numerator * (den // e.denominator) for e in vec)
+def primitive(vec: Iterable[int]) -> QVector:
+    """Divide an integer vector by its content, making the first nonzero entry positive.
 
-
-def primitive(vec: Iterable) -> QVector:
-    """Scale a rational vector to coprime integers with first nonzero entry positive.
-
-    The zero vector comes back as ints, otherwise unchanged.  Used to
-    canonicalize kernel vectors, coefficient vectors and point coordinates
-    for reproducible output.
+    The zero vector comes back unchanged.  Used to canonicalize kernel
+    vectors, coefficient vectors and point coordinates for reproducible
+    output.
     """
-    ints = _integer_multiple(vec)
+    ints = tuple(vec)
     g = math.gcd(*ints)
     if g == 0:
         return ints
@@ -58,13 +50,8 @@ class QMatrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "QMatrix":
-        """Matrix of rational rows, each scaled once to clear its denominators."""
-        ent = tuple(_integer_multiple(r) for r in rows)
-        if cols is None:
-            if not ent:
-                raise ValueError("cannot infer column count of an empty matrix")
-            cols = len(ent[0])
+    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int) -> "QMatrix":
+        ent = tuple(tuple(r) for r in rows)
         return cls(len(ent), cols, ent)
 
 

@@ -63,9 +63,10 @@ def n_value(c: Combinatorics, line: str, prior: set[str] | frozenset[str]) -> in
     Purely combinatorial: only the point records of c are consulted.
     """
     labels = set(c.labels)
+    prior = frozenset(prior)
     if line not in labels:
         raise KeyError(f"unknown label {line!r}")
-    unknown = set(prior) - labels
+    unknown = prior - labels
     if unknown:
         raise KeyError(f"unknown label {sorted(unknown)[0]!r}")
     if line in prior:
@@ -74,7 +75,7 @@ def n_value(c: Combinatorics, line: str, prior: set[str] | frozenset[str]) -> in
     for rec in c.points:
         if line not in rec.branches:
             continue
-        prior_branches = rec.branches & set(prior)
+        prior_branches = rec.branches & prior
         if len(prior_branches) >= 2:
             count += 1
         elif any(rec.mult(line, p) >= 2 for p in prior_branches):

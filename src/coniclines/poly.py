@@ -1,8 +1,7 @@
 """Homogeneous polynomials in x, y, z, and projective points.
 
 Components and points are primitive-integer, so coefficients and
-evaluations are plain ints throughout the analysis; rational input is
-cleared of denominators where it is parsed.
+evaluations are plain ints throughout the package.
 
 The monomial order is fixed once for the whole package: graded
 lexicographic with x > y > z.  Every coefficient vector, evaluation row
@@ -106,9 +105,6 @@ class HomPoly:
     def coefficient(self, expo: tuple[int, int, int]):
         return self.coeffs[_monomial_index(self.degree)[expo]]
 
-    def coefficient_vector(self) -> QVector:
-        return self.coeffs
-
     def evaluate(self, p: ProjPoint) -> int:
         """Value at the canonical representative of p.
 
@@ -164,10 +160,8 @@ class HomPoly:
                 body = str(mag)
             elif mag == 1:
                 body = mono
-            elif mag.denominator == 1:
-                body = f"{mag}*{mono}"
             else:
-                body = f"({mag})*{mono}"
+                body = f"{mag}*{mono}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -195,7 +189,7 @@ def multiplication_image(f: HomPoly, n: int) -> QVectorBasis:
     if f.degree > n:
         raise ValueError(f"degree overflow: deg f = {f.degree} > n = {n}")
     vectors = tuple(
-        primitive(f.mul_monomial(expo).coefficient_vector())
+        primitive(f.mul_monomial(expo).coeffs)
         for expo in monomials(n - f.degree)
     )
     return QVectorBasis(monomial_count(n), vectors)

@@ -115,9 +115,7 @@ def _clip_line_to_window(
 
 def _line_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
     f = _chart_form(CHART_ORDER[cfg.chart], form)
-    a = f.coefficient((1, 0, 0))
-    b = f.coefficient((0, 1, 0))
-    c = f.coefficient((0, 0, 1))
+    a, b, c = f.coeffs
     if a == 0 and b == 0:
         return []  # the chart's line at infinity
     seg = _clip_line_to_window(a, b, c, cfg.window)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,13 @@ PAIR_FILES = {
     "pair2_B1": DATA / "pair2_B1.txt",
     "pair2_B2": DATA / "pair2_B2.txt",
 }
+
+
+def cleared(vec) -> tuple[int, ...]:
+    """A rational vector scaled by the lcm of its denominators: the ints the package takes."""
+    vec = [Fraction(e) for e in vec]
+    den = math.lcm(*(e.denominator for e in vec))
+    return tuple(int(e * den) for e in vec)
 
 
 def load(name: str) -> Arrangement:
@@ -85,7 +93,7 @@ def random_line(rng: random.Random) -> HomPoly:
     while True:
         coeffs = [rng.randint(-6, 6) for _ in range(3)]
         if any(coeffs):
-            return line_form(coeffs)
+            return line_form(coeffs).primitive()
 
 
 def random_smooth_conic(rng: random.Random) -> HomPoly:
@@ -95,7 +103,7 @@ def random_smooth_conic(rng: random.Random) -> HomPoly:
         coeffs = [rng.randint(-4, 4) for _ in range(6)]
         if not any(coeffs):
             continue
-        form = conic_form(coeffs)
+        form = conic_form(coeffs).primitive()
         if conic_matrix_determinant(form) != 0:
             return form
 

@@ -1,7 +1,6 @@
 """Arrangement parsing, validation, serialization round trips."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +135,13 @@ def test_syntax_error_reports_position():
     assert err.value.column > 1
 
 
+@pytest.mark.parametrize("token", ["1.5", ".5", "1e9", "1e10000000", "1_000", "1/0", "3/-4"])
+def test_coefficient_is_integer_or_fraction(token):
+    with pytest.raises(ParseError) as err:
+        parse(f"line L1 : 1 {token} 0\n")
+    assert str(err.value) == f"line 1, column 13: expected integer or fraction, got {token!r}"
+
+
 def test_unknown_keyword():
     with pytest.raises(ParseError, match="unknown declaration"):
         parse("circle C : 1 1 1\n")
@@ -143,7 +149,10 @@ def test_unknown_keyword():
 
 def test_fraction_coefficients_cleared_to_primitive():
     a = parse("line L : 1/2 1/3 0")
-    assert a.components[0].form.coefficient_vector() == (3, 2, 0)
+    assert a.components[0].form.coeffs == (3, 2, 0)
+    # one scale per declaration, whatever the form of its fractions
+    a = parse("conic C : 1/2 1/3 -5/6 2/4 0 0")
+    assert a.conic.form == conic_form([3, 2, -5, 3, 0, 0])
 
 
 def test_roundtrip_pair_file():
@@ -179,9 +188,6 @@ def test_arrangement_validation_direct():
 def test_proportional_components_rejected_before_normalization():
     l1 = Component("L1", "line", HomPoly(1, (1, -2, 3)))
     l2 = Component("L2", "line", HomPoly(1, (2, -4, 6)))
-    l3 = Component("L3", "line", HomPoly(1, (Fraction(-1, 3), Fraction(2, 3), -1)))
-    assert l1.form == l2.form == l3.form
+    assert l1.form == l2.form
     with pytest.raises(ValueError, match="proportional"):
         Arrangement((l1, l2), {})
-    with pytest.raises(ValueError, match="proportional"):
-        Arrangement((l1, l3), {})

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from coniclines import splitting
 from coniclines.cli import main
 
 from .conftest import PAIR_FILES, generic_lines
@@ -94,6 +95,29 @@ def test_analyze_malformed_file_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(f))
     assert code == 1
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1.5"])
+def test_analyze_decimal_or_exponent_coefficient_exit_1(capsys, tmp_path, token):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"line L1 : 1 0 1\nline L2 : {token} 1 0\n")
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 2, column 11: expected integer or fraction, got {token!r}\n"
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("no witness\nfound")
+
+    monkeypatch.setattr(splitting, "_find_witness", fail)
+    code, out, err = run(capsys, "split", P1B1, "--branch", "B", "--curve", "CC")
+    assert code == 4
+    assert out == ""
+    # the message keeps its newline escaped, and the line names where it was raised
+    pattern = r"internal error: RuntimeError\('no witness\\nfound'\) at test_cli\.py:\d+\n"
+    assert re.fullmatch(pattern, err)
 
 
 def test_analyze_missing_file_exit_1(capsys):
@@ -309,7 +333,7 @@ def test_render_zero_width_window_exit_1(capsys, tmp_path):
     assert "degenerate" in err
 
 
-@pytest.mark.parametrize("value", ["1/0", "a"])
+@pytest.mark.parametrize("value", ["1/0", "a", "1e9", "1.5"])
 def test_render_bad_window_value_exit_1(capsys, tmp_path, value):
     out_file = tmp_path / "bad.svg"
     code, out, err = run(

@@ -22,7 +22,7 @@ from coniclines.render import (
     render_svg,
 )
 
-from .conftest import PAIR_FILES
+from .conftest import PAIR_FILES, cleared
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -86,7 +86,7 @@ def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
         pol = polar(p0.coords, d)
         coords = tuple(qd * a - pol * b for a, b in zip(p0.coords, d))
         if any(coords):
-            samples.append(ProjPoint(*coords))
+            samples.append(ProjPoint(*cleared(coords)))
     return samples
 
 

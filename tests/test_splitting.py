@@ -160,7 +160,7 @@ def test_kernel_contains_c_part_polynomial():
         report = check_hypotheses(b, c, singular_points(b.arrangement))
         system = through_points(3, report.intersection_points)
         product = sp.Mul(*(to_sympy(comp.form) for comp in c.components))
-        vec = from_sympy(product, c.degree).primitive().coefficient_vector()
+        vec = from_sympy(product, c.degree).primitive().coeffs
         assert in_span(vec, system.kernel)
 
 

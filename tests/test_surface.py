@@ -5,6 +5,9 @@ attribute somewhere in the package, the scripts or the benchmark.  Import
 aliases and `__all__` strings are not uses.  The check matches names, not
 bindings, so a method that shares its name with a used one passes
 unnoticed (`Arrangement.restrict` against `Combinatorics.restrict`).
+
+The package also computes on integers only: `parse` clears the fractions
+of an input file, and only the `--window` bounds of `render` stay rational.
 """
 
 import ast
@@ -47,3 +50,21 @@ def used_names() -> set[str]:
 def test_every_public_def_has_a_program_caller():
     assert public_defs() - used_names() - KEPT_FOR_TESTS == set()
 
+
+def fractions_importers() -> set[str]:
+    found = set()
+    for path, tree in zip(PACKAGE, _trees(PACKAGE)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in modules:
+                found.add(path.name)
+    return found
+
+
+def test_only_the_window_code_imports_fractions():
+    assert fractions_importers() <= {"cli.py", "render.py"}
