@@ -9,11 +9,11 @@ from .arrangement import Arrangement, Component, ParseError, SubCurve, parse, se
 from .incidence import (
     Combinatorics,
     ConjugatePair,
+    Equivalences,
     SingularPoint,
     Tangent,
     TwoRational,
     combinatorics,
-    component_fingerprint,
     equivalences,
     intersect_line_conic,
     intersect_lines,
@@ -45,6 +45,7 @@ __all__ = [
     "Combinatorics",
     "Component",
     "ConjugatePair",
+    "Equivalences",
     "HomPoly",
     "LinearSystem",
     "MinimalityReport",
@@ -62,7 +63,6 @@ __all__ = [
     "ZariskiCertificate",
     "check_hypotheses",
     "combinatorics",
-    "component_fingerprint",
     "connectivity_certificate",
     "equivalences",
     "in_span",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -42,12 +43,17 @@ class ParseError(ValueError):
 def parse_rational(token: str) -> tuple[int, int]:
     """Numerator and denominator of a token p or p/q with q > 0, else a ValueError.
 
-    A decimal point or an exponent is refused before any arithmetic.
+    A decimal point or an exponent is refused before any arithmetic, and
+    an integer past the interpreter's digit limit for `int()` by that limit.
     """
     m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", token)
     if m is None:
-        raise ValueError(f"not an integer or fraction p/q: {token!r}")
-    return int(m[1]), int(m[2] or 1)
+        raise ValueError(f"expected integer or fraction, got {token!r}")
+    try:
+        return int(m[1]), int(m[2] or 1)
+    except ValueError:  # digits only, so only the limit can fail
+        limit = f"{sys.get_int_max_str_digits()} digits (the limit of sys.get_int_max_str_digits())"
+        raise ValueError(f"integer longer than {limit}") from None
 
 
 def line_form(coeffs: Iterable[int]) -> HomPoly:
@@ -224,8 +230,8 @@ def parse(text: str) -> Arrangement:
             for token, col in coeff_tokens:
                 try:
                     ratios.append(parse_rational(token))
-                except ValueError:
-                    raise ParseError(f"expected integer or fraction, got {token!r}", lineno, col)
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno, col)
             den = math.lcm(*(d for _, d in ratios))
             coeffs = [n * (den // d) for n, d in ratios]
             try:

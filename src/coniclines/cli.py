@@ -22,7 +22,6 @@ from .incidence import (
     LocalType,
     bezout_check,
     combinatorics,
-    component_fingerprint,
     equivalences,
     singular_points,
 )
@@ -63,10 +62,7 @@ def cmd_analyze(args) -> int:
     a = _load(args.file)
     out = []
     nlines = len(a.lines)
-    nconics = 1 if a.conic else 0
-    head = []
-    if nconics:
-        head.append("1 conic")
+    head = ["1 conic"] if a.conic else []
     if nlines:
         head.append(f"{nlines} line{'s' if nlines != 1 else ''}")
     out.append(
@@ -133,24 +129,30 @@ def _count_summary(counts: dict[LocalType, int]) -> str:
     return ", ".join(f"{v} {t.display(plural=v != 1)}" for t, v in ordered) or "no singular points"
 
 
+def _mapping(m: dict[str, str]) -> str:
+    return ", ".join(f"{k}->{v}" for k, v in m.items())
+
+
 def cmd_compare(args) -> int:
     a1, a2 = _load(args.file1), _load(args.file2)
     c1, c2 = combinatorics(a1), combinatorics(a2)
     out = [f"comparing {args.file1} and {args.file2}"]
     for name, a, c in ((args.file1, a1, c1), (args.file2, a2, c2)):
-        summary = _count_summary(c.type_counts())
+        summary = _count_summary(Counter(rec.local_type for rec in c.points))
         n = len(a.components)
         out.append(f"  {name}: {n} component{'s' if n != 1 else ''}; {summary}")
     eqs = equivalences(c1, c2)
     out.append(f"equivalences: {len(eqs)}")
-    for m in eqs:
-        out.append("  " + ", ".join(f"{k}->{m[k]}" for k in c1.labels))
-    if not eqs:
+    if eqs:  # every equivalence is φ∘g for g in the group the generators span
+        out.append(f"  phi: {_mapping(eqs.phi)}")
+        out.append(f"  automorphism generators of {args.file1}: {len(eqs.generators)}")
+        out += [f"    {_mapping(g)}" for g in eqs.generators]
+    else:
         out.append("  the arrangements are combinatorially distinct")
     for name, a, c in ((args.file1, a1, c1), (args.file2, a2, c2)):
         conic = a.conic
         if conic is not None:
-            _, entries = component_fingerprint(c, conic.label)
+            _, entries = c.fingerprints[conic.label]
             type_counts = Counter(LocalType(*key) for key, _others in entries)
             out.append(f"conic fingerprint of {name}: {_count_summary(type_counts)}")
     print("\n".join(out))
@@ -274,10 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zariski", help="candidate Zariski-pair certificate")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--branch1", required=True)
-    p.add_argument("--curve1", required=True)
-    p.add_argument("--branch2", required=True)
-    p.add_argument("--curve2", required=True)
+    for option in ("--branch1", "--curve1", "--branch2", "--curve2"):
+        p.add_argument(option, required=True)
     p.set_defaults(func=cmd_zariski)
 
     p = sub.add_parser("minimality", help="certify that no proper sub-pair is a Zariski pair")

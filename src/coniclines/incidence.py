@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .arrangement import Arrangement, Component
 from .poly import ProjPoint
@@ -261,11 +261,10 @@ def bezout_table(points: tuple[SingularPoint, ...]) -> dict[tuple[str, str], int
 def bezout_check(a: Arrangement, points: tuple[SingularPoint, ...]) -> bool:
     """Bezout's theorem for every component pair of a, given its singular points."""
     table = bezout_table(points)
-    for c1, c2 in itertools.combinations(a.components, 2):
-        key = tuple(sorted((c1.label, c2.label)))
-        if table.get(key, 0) != c1.degree * c2.degree:
-            return False
-    return True
+    return all(
+        table.get(tuple(sorted((c1.label, c2.label))), 0) == c1.degree * c2.degree
+        for c1, c2 in itertools.combinations(a.components, 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -287,14 +286,35 @@ class Combinatorics:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.degrees)
 
-    def degree_of(self, label: str) -> int:
-        for l, d in self.degrees:
-            if l == label:
-                return d
-        raise KeyError(f"unknown label {label!r}")
+    @cached_property
+    def fingerprints(self) -> dict[str, tuple]:
+        """Per label: (degree, multiset over its points of (local type, co-incident degrees)).
 
-    def type_counts(self) -> dict[LocalType, int]:
-        return Counter(rec.local_type for rec in self.points)
+        Computed once per structure, like the facts below.  Invariant under
+        every equivalence: a report item and the search's first pruning.
+        """
+        degree = dict(self.degrees)
+        entries: dict[str, list] = {l: [] for l in degree}
+        for rec in self.points:
+            for l in rec.branches:
+                others = tuple(sorted(degree[o] for o in rec.branches if o != l))
+                entries[l].append((rec.local_type.key, others))
+        return {l: (d, tuple(sorted(entries[l]))) for l, d in degree.items()}
+
+    @cached_property
+    def pair_profiles(self) -> dict[tuple[str, str], tuple]:
+        """Per sorted label pair: (local type, multiplicity, branch count) of each common point."""
+        profiles: dict[tuple[str, str], list] = {}
+        for rec in self.points:
+            for pair, m in rec.pair_mults:
+                profiles.setdefault(pair, []).append((rec.local_type.key, m, len(rec.branches)))
+        return {k: tuple(sorted(v)) for k, v in profiles.items()}
+
+    @cached_property
+    def record_keys(self) -> tuple:
+        """`_record_multiset` of the identity labelling: the target of the leaf checks."""
+        keys = ((r.local_type.key, tuple(sorted(r.branches)), r.pair_mults) for r in self.points)
+        return tuple(sorted(keys))
 
     def restrict(self, labels: Iterable[str]) -> Combinatorics:
         """The incidence structure of the sub-arrangement with the given components."""
@@ -314,68 +334,78 @@ def combinatorics(a: Arrangement, points: tuple[SingularPoint, ...] | None = Non
     return Combinatorics(degrees, tuple(pt for pt in points for _ in range(pt.point_count)))
 
 
-def component_fingerprint(c: Combinatorics, label: str) -> tuple:
-    """(degree, multiset over the component's points of (local type, co-incident degrees)).
-
-    Invariant under every combinatorial equivalence; used both as a report
-    item and to prune the equivalence search.
-    """
-    degree = c.degree_of(label)
-    entries = []
-    for rec in c.points:
-        if label in rec.branches:
-            others = tuple(sorted(c.degree_of(other) for other in rec.branches if other != label))
-            entries.append((rec.local_type.key, others))
-    return (degree, tuple(sorted(entries)))
-
-
-def _pair_profiles(c: Combinatorics) -> dict[tuple[str, str], tuple]:
-    profiles: dict[tuple[str, str], list] = {}
-    for rec in c.points:
-        for x, y in itertools.combinations(sorted(rec.branches), 2):
-            profiles.setdefault((x, y), []).append(
-                (rec.local_type.key, rec.mult(x, y), len(rec.branches))
-            )
-    return {k: tuple(sorted(v)) for k, v in profiles.items()}
-
-
 def _record_multiset(c: Combinatorics, mapping: dict[str, str]) -> tuple:
     return tuple(sorted(rec.mapped_key(mapping) for rec in c.points))
 
 
-def equivalences(
-    c1: Combinatorics, c2: Combinatorics, find_all: bool = True
-) -> list[dict[str, str]]:
-    """All label bijections carrying c1's incidence structure onto c2's.
+@dataclass(frozen=True)
+class Equivalences:
+    """The label bijections carrying a structure c1 onto c2: φ and a group, not a list.
+
+    `phi` is one equivalence, or None.  `transversals[i]` holds the
+    automorphisms of c1 that fix the first i labels of the search order and
+    send the next one to each further image.  Every equivalence is
+    φ∘t₀∘…∘tₙ₋₁ in exactly one way, each tᵢ the identity or in
+    `transversals[i]`: a base and strong generating set of Aut(c1) (McKay &
+    Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
+    `len` is ∏(1 + |Tᵢ|); iterating composes every equivalence, sorted.
+    """
+
+    phi: dict[str, str] | None
+    transversals: tuple[tuple[dict[str, str], ...], ...] = ()
+
+    def __len__(self) -> int:
+        return 0 if self.phi is None else math.prod(1 + len(t) for t in self.transversals)
+
+    def __iter__(self) -> Iterator[dict[str, str]]:
+        maps = [] if self.phi is None else [self.phi]
+        for level in self.transversals:
+            maps += [{l: m[t[l]] for l in t} for m in maps for t in level]
+        return iter(sorted(maps, key=lambda m: tuple(m.values())))
+
+    @cached_property
+    def generators(self) -> tuple[dict[str, str], ...]:
+        """Every transversal element: automorphisms of c1 that generate all of them."""
+        return tuple(t for level in self.transversals for t in level)
+
+    def orbit(self, labels: Iterable[str]) -> set[frozenset[str]]:
+        """The images of a set of c1's labels under Aut(c1), by breadth-first closure."""
+        orbit, frontier = set(), {frozenset(labels)}
+        while frontier:
+            orbit |= frontier
+            frontier = {frozenset(g[l] for l in s) for s in frontier for g in self.generators}
+            frontier -= orbit
+        return orbit
+
+    def map_onto(self, subset: Iterable[str], image: Iterable[str]) -> bool:
+        """Whether every equivalence maps `subset` onto `image` (true if there is none).
+
+        The automorphisms fixing `subset` form a subgroup: φ and the generators decide.
+        """
+        s = set(subset)
+        fixed = all({g[l] for l in s} == s for g in self.generators)
+        return self.phi is None or ({self.phi[l] for l in s} == set(image) and fixed)
+
+
+def equivalences(c1: Combinatorics, c2: Combinatorics, find_all: bool = True) -> Equivalences:
+    """The label bijections carrying c1's incidence structure onto c2's.
 
     Backtracking over fingerprint-compatible candidates with pairwise
     profile pruning, then a full multiset check at the leaves, finds the
-    first equivalence φ.  Every equivalence is φ∘t₀∘…∘tₙ₋₁ in exactly one
-    way, where tᵢ is an automorphism of c1 fixing the first i labels of
-    the search order: the identity, or φ⁻¹∘ψ for the first ψ that agrees
-    with φ on those labels and sends the next one to another image.  An
-    empty list means the arrangements are combinatorially distinct.
+    first equivalence φ.  Then, level by level, one search per further
+    image of the level's label, with φ fixed before it, finds each ψ and so
+    the automorphism φ⁻¹∘ψ.  With `find_all` false the result is φ alone
+    (`len` 1).  A falsy result means the structures are not equivalent.
     """
-    labels1, labels2 = c1.labels, c2.labels
-    if len(labels1) != len(labels2):
-        return []
-    if sorted(d for _, d in c1.degrees) != sorted(d for _, d in c2.degrees):
-        return []
-    if sorted(r.local_type.key for r in c1.points) != sorted(
-        r.local_type.key for r in c2.points
-    ):
-        return []
+    fp1, fp2 = c1.fingerprints, c2.fingerprints
+    # equal fingerprint multisets also give equal degrees and point types
+    if sorted(fp1.values()) != sorted(fp2.values()):
+        return Equivalences(None)
+    candidates = {l: [m for m in fp2 if fp2[m] == fp1[l]] for l in fp1}
+    prof1, prof2 = c1.pair_profiles, c2.pair_profiles
+    target = c2.record_keys
 
-    fp1 = {l: component_fingerprint(c1, l) for l in labels1}
-    fp2 = {l: component_fingerprint(c2, l) for l in labels2}
-    candidates = {l: [m for m in labels2 if fp2[m] == fp1[l]] for l in labels1}
-    if any(not opts for opts in candidates.values()):
-        return []
-    prof1 = _pair_profiles(c1)
-    prof2 = _pair_profiles(c2)
-    target = tuple(sorted(rec.mapped_key({l: l for l in labels2}) for rec in c2.points))
-
-    order = sorted(labels1, key=lambda l: (len(candidates[l]), l))
+    order = sorted(fp1, key=lambda l: (len(candidates[l]), l))
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
@@ -404,29 +434,21 @@ def equivalences(
                 return found
         return None
 
-    phi = first(0)
-    if phi is None:
-        return []
+    found = first(0)
+    if found is None:
+        return Equivalences(None)
+    phi = {l: found[l] for l in fp1}
     if not find_all:
-        return [phi]
-
-    # index tuples: position j of labels1 goes to the rank of its image in
-    # sorted(labels2), so the tuples sort as the label tuples do
-    names2 = sorted(labels2)
-    rank = {m: k for k, m in enumerate(names2)}
-    position = {l: j for j, l in enumerate(labels1)}
-    preimage = {m: position[l] for l, m in phi.items()}
-    results = [tuple(rank[phi[l]] for l in labels1)]
+        return Equivalences(phi)
+    inverse = {m: l for l, m in phi.items()}
+    transversals = []
     for i, l in enumerate(order):
         # the candidates before φ(l) already failed on the way to φ
         later = candidates[l][candidates[l].index(phi[l]) + 1 :]
-        transversal = []
-        for m in later:
-            psi = first(i, [m])
-            if psi is not None:
-                transversal.append(tuple(preimage[psi[k]] for k in labels1))
-        results += [tuple(map(p.__getitem__, t)) for p in results for t in transversal]
+        found_here = (first(i, [m]) for m in later)
+        transversals.append(
+            tuple({k: inverse[psi[k]] for k in phi} for psi in found_here if psi is not None)
+        )
         mapping[l] = phi[l]
         used.add(phi[l])
-    results.sort()
-    return [dict(zip(labels1, (names2[k] for k in p))) for p in results]
+    return Equivalences(phi, tuple(transversals))

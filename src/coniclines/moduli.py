@@ -76,22 +76,14 @@ def n_value(c: Combinatorics, line: str, prior: set[str] | frozenset[str]) -> in
         if line not in rec.branches:
             continue
         prior_branches = rec.branches & prior
-        if len(prior_branches) >= 2:
-            count += 1
-        elif any(rec.mult(line, p) >= 2 for p in prior_branches):
+        if len(prior_branches) >= 2 or any(rec.mult(line, p) >= 2 for p in prior_branches):
             count += 1
     return count
 
 
 def _tangent_lines(c: Combinatorics, conic: str) -> list[str]:
-    tangents = set()
-    for rec in c.points:
-        if conic not in rec.branches:
-            continue
-        for other in rec.branches:
-            if other != conic and rec.mult(other, conic) >= 2:
-                tangents.add(other)
-    return sorted(tangents)
+    tangencies = {pair for r in c.points for pair, m in r.pair_mults if m >= 2 and conic in pair}
+    return sorted(l for pair in tangencies for l in pair if l != conic)
 
 
 def connectivity_certificate(c: Combinatorics) -> OrderingCertificate | None:
@@ -200,17 +192,11 @@ class MinimalityReport:
 
 
 def _class_key(c: Combinatorics) -> tuple:
-    degs = {l: d for l, d in c.degrees}
-    points = tuple(
-        sorted(
-            (
-                rec.local_type.key,
-                tuple(sorted(degs[l] for l in rec.branches)),
-            )
-            for rec in c.points
-        )
+    degs = dict(c.degrees)
+    points = (
+        (rec.local_type.key, tuple(sorted(degs[l] for l in rec.branches))) for rec in c.points
     )
-    return (tuple(sorted(degs.values())), points)
+    return tuple(sorted(degs.values())), tuple(sorted(points))
 
 
 def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
@@ -231,44 +217,35 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
         raise ValueError(
             "minimality requires combinatorially equivalent arrangements"
         )
-    matching = eqs[0]
-
-    # headline: single-component deletions, matched through the equivalence
-    deletions: list[DeletionResult] = []
-    for comp in a1.components:
-        partner = matching[comp.label]
-        sub_comb = c_full1.restrict(l for l in a1.labels if l != comp.label)
-        deletions.append(
-            DeletionResult(comp.label, partner, connectivity_certificate(sub_comb))
-        )
-
-    # full sweep: every proper nonempty sub-curve of arrangement 1,
-    # grouped into true combinatorial classes
-    classes: list[dict] = []  # {key, comb, labels, count}
-
-    def register(labels: tuple[str, ...], comb: Combinatorics, size: int):
-        key = _class_key(comb)
-        for cls in classes:
-            if cls["key"] == key and equivalences(comb, cls["comb"], find_all=False):
-                cls["count"] += size
-                return
-        classes.append({"key": key, "comb": comb, "labels": labels, "count": size})
-
-    # an automorphism g = φ₀⁻¹∘φᵢ of arrangement 1 carries each sub-curve S
-    # onto g(S) with equivalent combinatorics, so only the first sub-curve
-    # of each orbit is restricted and its class counts the whole orbit;
-    # images[l] lists g(l) for every g
     labels = c_full1.labels
-    inverse = {v: k for k, v in matching.items()}
-    images = {l: [inverse[e[l]] for e in eqs] for l in labels}
+
+    # headline: single-component deletions, matched through the equivalence φ
+    deletions = [
+        DeletionResult(l, eqs.phi[l], connectivity_certificate(c_full1.restrict(set(labels) - {l})))
+        for l in labels
+    ]
+
+    # full sweep: every proper nonempty sub-curve of arrangement 1, grouped
+    # into true combinatorial classes.  An automorphism g of arrangement 1
+    # carries each sub-curve S onto g(S) with equivalent combinatorics, so
+    # only the first sub-curve of each orbit is restricted and looked up,
+    # and its class counts the whole orbit
+    classes: list[dict] = []  # {key, comb, labels, count}
     seen: set[frozenset[str]] = set()
     for r in range(1, len(labels)):
         for subset in itertools.combinations(labels, r):
             if frozenset(subset) in seen:
                 continue
-            orbit = set(map(frozenset, zip(*(images[l] for l in subset))))
+            orbit = eqs.orbit(subset)
             seen |= orbit
-            register(subset, c_full1.restrict(subset), len(orbit))
+            comb = c_full1.restrict(subset)
+            key = _class_key(comb)
+            for cls in classes:
+                if cls["key"] == key and equivalences(comb, cls["comb"], find_all=False):
+                    cls["count"] += len(orbit)
+                    break
+            else:
+                classes.append({"key": key, "comb": comb, "labels": subset, "count": len(orbit)})
 
     shared = [
         SharedClassResult(cls["labels"], cls["count"], connectivity_certificate(cls["comb"]))

@@ -45,12 +45,8 @@ class SplitHypothesisReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.b_even_degree
-            and self.c_nodal_smooth
-            and self.bc_disjoint_from_nodes_of_c
-            and self.all_local_mults_two
-        )
+        # each failed hypothesis adds at least one violation
+        return not self.violations
 
 
 def _validate_split(b: SubCurve, c: SubCurve) -> Arrangement:
@@ -266,8 +262,7 @@ def zariski_certificate(
     if not found:
         reasons.append("the arrangements are combinatorially distinct")
 
-    c1_set, c2_set = set(c1.labels), set(c2.labels)
-    rigid = found and all({m[l] for l in c1_set} == c2_set for m in eqs)
+    rigid = found and eqs.map_onto(c1.labels, c2.labels)
     if found and not rigid:
         reasons.append("some equivalence does not preserve the (B, C) split")
 

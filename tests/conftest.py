@@ -211,10 +211,11 @@ def every_bijection(c1: Combinatorics, c2: Combinatorics) -> list[dict[str, str]
     if len(c1.labels) != len(c2.labels):
         return []
     target = sorted(rec.mapped_key({l: l for l in c2.labels}) for rec in c2.points)
+    degree1, degree2 = dict(c1.degrees), dict(c2.degrees)
     found = []
     for images in itertools.permutations(c2.labels):
         m = dict(zip(c1.labels, images))
-        if all(c1.degree_of(l) == c2.degree_of(m[l]) for l in c1.labels) and (
+        if all(degree1[l] == degree2[m[l]] for l in c1.labels) and (
             sorted(rec.mapped_key(m) for rec in c1.points) == target
         ):
             found.append(m)

@@ -13,7 +13,6 @@ from coniclines.cli import main
 from coniclines.incidence import (
     bezout_check,
     combinatorics,
-    component_fingerprint,
     equivalences,
     singular_points,
 )
@@ -152,8 +151,8 @@ def test_criterion_4_combinatorics(capsys):
         tacs = sum(1 for k, _ in entries if k[0] == "tacnode")
         return triples, tacs
 
-    assert counts(component_fingerprint(combinatorics(load("pair1_B1")), "C")) == (2, 2)
-    assert counts(component_fingerprint(combinatorics(load("pair2_B1")), "C")) == (4, 2)
+    assert counts(combinatorics(load("pair1_B1")).fingerprints["C"]) == (2, 2)
+    assert counts(combinatorics(load("pair2_B1")).fingerprints["C"]) == (4, 2)
 
     eqs1 = equivalences(combinatorics(load("pair1_B1")), combinatorics(load("pair1_B2")))
     assert eqs1 and all(

@@ -1,6 +1,7 @@
 """Arrangement parsing, validation, serialization round trips."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,23 @@ def test_coefficient_is_integer_or_fraction(token):
     with pytest.raises(ParseError) as err:
         parse(f"line L1 : 1 {token} 0\n")
     assert str(err.value) == f"line 1, column 13: expected integer or fraction, got {token!r}"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integer strings of any length",
+)
+@pytest.mark.parametrize("place", ["numerator", "denominator"])
+def test_too_long_integer_names_the_digit_limit(place):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 1)
+    token = digits if place == "numerator" else f"1/{digits}"
+    with pytest.raises(ParseError) as err:
+        parse(f"line L1 : 1 {token} 0\n")
+    assert str(err.value) == (
+        f"line 1, column 13: integer longer than {limit} digits "
+        "(the limit of sys.get_int_max_str_digits())"
+    )
 
 
 def test_unknown_keyword():

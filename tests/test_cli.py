@@ -10,6 +10,7 @@ import pytest
 
 from coniclines import splitting
 from coniclines.cli import main
+from coniclines.incidence import Equivalences
 
 from .conftest import PAIR_FILES, generic_lines
 
@@ -208,14 +209,73 @@ def test_compare_conic_without_singular_points(capsys, tmp_path):
     assert f"conic fingerprint of {conic}: no singular points" in out.splitlines()
 
 
-def test_compare_lists_every_bijection_of_eight_generic_lines(capsys, tmp_path):
+def test_compare_prints_generators_of_all_bijections_of_eight_generic_lines(capsys, tmp_path):
+    # φ and 7 + 6 + … + 1 = 28 transversal automorphisms stand for all 8!
+    # equivalences: closing the printed generators gives every bijection
     f = tmp_path / "generic_8.txt"
     f.write_text(generic_lines(8))
     code, out, _ = run(capsys, "compare", str(f), str(f))
     assert code == 0
     lines = out.splitlines()
     assert "equivalences: 40320" in lines
-    assert sum(1 for l in lines if l.startswith("  L1->")) == 40320
+    assert f"  automorphism generators of {f}: 28" in lines
+    mappings = [l for l in lines if "L1->" in l]
+    assert len(mappings) == 1 + 28
+    assert mappings[0].startswith("  phi: ")
+    labels = [f"L{i}" for i in range(1, 9)]
+    generators = []
+    for line in mappings[1:]:
+        images = dict(pair.split("->") for pair in line.strip().split(", "))
+        assert sorted(images) == sorted(images.values()) == labels
+        generators.append(tuple(labels.index(images[l]) for l in labels))
+    identity = tuple(range(8))
+    group, queue = {identity}, [identity]
+    while queue:
+        p = queue.pop()
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                queue.append(q)
+    assert len(group) == 40320
+
+
+def test_no_command_lists_every_equivalence(capsys, tmp_path, monkeypatch):
+    # compare, zariski and minimality read φ and the generators; listing
+    # the equivalences would raise, and main would report exit 4
+    def refuse(self):
+        raise AssertionError("the equivalences were listed")
+
+    monkeypatch.setattr(Equivalences, "__iter__", refuse)
+    generic = tmp_path / "generic_8.txt"
+    generic.write_text(generic_lines(8))
+    # 8 lines tangent to y^2 = 4xz, split as B = the conic, C = the lines
+    tangents = tmp_path / "tangents_8.txt"
+    tangents.write_text(
+        "conic C : 0 1 0 0 -4 0\n"
+        + generic_lines(8)
+        + "curve B = C\ncurve CC = "
+        + " ".join(f"L{i}" for i in range(1, 9))
+        + "\n"
+    )
+    split = ["--branch1", "B", "--curve1", "CC", "--branch2", "B", "--curve2", "CC"]
+    cases = [
+        (["compare", P1B1, P1B2], 0),
+        (["compare", P2B1, P2B2], 0),
+        (["compare", str(generic), str(generic)], 0),
+        (["zariski", P1B1, P1B2, *split], 0),
+        (["zariski", P2B1, P2B2, *split], 0),
+        (["zariski", str(tangents), str(tangents), *split], 3),
+        (["minimality", P1B1, P1B2], 0),
+        (["minimality", P2B1, P2B2], 0),
+        (["minimality", str(generic), str(generic)], 0),
+    ]
+    for argv, expected in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (expected, ""), argv
+    _, out, _ = run(capsys, "zariski", str(tangents), str(tangents), *split)
+    assert "  combinatorial equivalences: 40320" in out.splitlines()
+    assert "  split preserved by every equivalence: yes" in out.splitlines()
 
 
 def test_split_pair1(capsys):

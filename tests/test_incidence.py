@@ -19,7 +19,6 @@ from coniclines.incidence import (
     bezout_check,
     bezout_table,
     combinatorics,
-    component_fingerprint,
     equivalences,
     intersect_line_conic,
     intersect_lines,
@@ -249,7 +248,7 @@ def test_combinatorics_across_pairs_distinct():
     eqs = equivalences(
         combinatorics(load("pair1_B1")), combinatorics(load("pair2_B1"))
     )
-    assert eqs == []
+    assert not eqs and list(eqs) == []
 
 
 def test_equivalences_contain_identity(pair1_b1):
@@ -293,15 +292,15 @@ def test_conic_fingerprints_distinguish_pairs(pair1_b1, pair2_b1):
         _, entries = fp
         return sum(1 for key, _ in entries if key[0] == "tacnode")
 
-    fp1 = component_fingerprint(combinatorics(pair1_b1), "C")
-    fp2 = component_fingerprint(combinatorics(pair2_b1), "C")
+    fp1 = combinatorics(pair1_b1).fingerprints["C"]
+    fp2 = combinatorics(pair2_b1).fingerprints["C"]
     assert triple_count(fp1) == 2 and tacnode_count(fp1) == 2
     assert triple_count(fp2) == 4 and tacnode_count(fp2) == 2
 
 
 def test_fingerprint_of_generic_line():
     c = combinatorics(Arrangement((L1, L2), {}))
-    degree, entries = component_fingerprint(c, "L1")
+    degree, entries = c.fingerprints["L1"]
     assert degree == 1
     assert len(entries) == 1
     assert entries[0][0][0] == "node"
@@ -309,7 +308,7 @@ def test_fingerprint_of_generic_line():
 
 def test_fingerprint_unknown_label(pair1_b1):
     with pytest.raises(KeyError):
-        component_fingerprint(combinatorics(pair1_b1), "L99")
+        combinatorics(pair1_b1).fingerprints["L99"]
 
 
 def test_single_line_combinatorics_empty():
@@ -342,11 +341,35 @@ def test_equivalences_match_every_bijection(seed, partner):
         b = random_arrangement(rng, max_lines=6)
     c1, c2 = combinatorics(a), combinatorics(b)
     expected = every_bijection(c1, c2)
-    assert equivalences(c1, c2) == expected
+    assert list(equivalences(c1, c2)) == expected
     if expected:
-        assert equivalences(c1, c2, find_all=False)[0] in expected
+        assert equivalences(c1, c2, find_all=False).phi in expected
     else:
-        assert equivalences(c1, c2, find_all=False) == []
+        assert not equivalences(c1, c2, find_all=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["itself", "image"]))
+def test_rigidity_from_generators_matches_every_bijection(seed, partner):
+    # `map_onto` reads φ and the generators; the reference tries every bijection
+    rng = random.Random(seed)
+    a = symmetric_arrangement(rng)
+    b = a if partner == "itself" else relabelled_image(a, rng)
+    c1, c2 = combinatorics(a), combinatorics(b)
+    if rng.random() < 0.5:
+        # a union of fingerprint classes, often fixed by every automorphism
+        prints = sorted(set(c1.fingerprints.values()))
+        chosen = rng.sample(prints, rng.randint(1, len(prints)))
+        subset = [l for l in c1.labels if c1.fingerprints[l] in chosen]
+    else:
+        subset = rng.sample(c1.labels, rng.randint(1, len(c1.labels)))
+    everything = every_bijection(c1, c2)
+    if rng.random() < 0.8:
+        image = {rng.choice(everything)[l] for l in subset}
+    else:
+        image = set(rng.sample(c2.labels, len(subset)))
+    expected = all({m[l] for l in subset} == image for m in everything)
+    assert equivalences(c1, c2).map_onto(subset, image) == expected
 
 
 def leaf_checks(monkeypatch) -> list:

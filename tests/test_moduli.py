@@ -1,6 +1,7 @@
 """Connectivity certificates: n-values, ordering search, minimality driver."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, parse
 from coniclines import moduli
-from coniclines.incidence import Combinatorics, combinatorics
+from coniclines.incidence import Combinatorics, Equivalences, combinatorics
 from coniclines.moduli import (
     AXIOM_LINES,
     connectivity_certificate,
@@ -21,6 +22,7 @@ from coniclines.moduli import (
 
 from .conftest import (
     every_subset_classes,
+    generic_lines,
     load,
     random_arrangement,
     random_invertible_matrix,
@@ -250,6 +252,29 @@ def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, mon
     monkeypatch.setattr(moduli, "equivalences", counting_equivalences)
     minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
     assert counts == {"restrict": orbits + 8, "equivalences": 1 + lookups}
+
+
+def test_minimality_on_generic_lines_restricts_one_sub_curve_per_size(monkeypatch):
+    # every permutation of 8 generic lines is an automorphism: the orbits
+    # are the sizes 1..7, found by closing under 28 generators, and the
+    # 40,320 equivalences are never listed
+    counts = {"restrict": 0}
+    restrict = Combinatorics.restrict
+
+    def counting_restrict(self, labels):
+        counts["restrict"] += 1
+        return restrict(self, labels)
+
+    def refuse(self):
+        raise AssertionError("the equivalences were listed")
+
+    monkeypatch.setattr(Combinatorics, "restrict", counting_restrict)
+    monkeypatch.setattr(Equivalences, "__iter__", refuse)
+    a = parse(generic_lines(8))
+    report = minimality_check(a, relabelled_image(a, random.Random(8)))
+    assert counts == {"restrict": 7 + 8}
+    assert [s.count for s in report.shared_classes] == [math.comb(8, r) for r in range(1, 8)]
+    assert report.overall == "Minimal"
 
 
 @settings(max_examples=30, deadline=None)
