@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .arrangement import Arrangement, Component
-from .poly import ProjPoint
+from .poly import ProjPoint, cross, restrict_to_line
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,10 @@ def intersect_lines(l1: Component, l2: Component) -> ProjPoint:
     """The unique common point of two non-proportional lines (cross product)."""
     if l1.kind != "line" or l2.kind != "line":
         raise ValueError("intersect_lines expects two lines")
-    a, b = l1.form.coeffs, l2.form.coeffs
-    cross = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    if not any(cross):
+    point = cross(l1.form.coeffs, l2.form.coeffs)
+    if not any(point):
         raise ValueError(f"lines {l1.label} and {l2.label} are proportional")
-    return ProjPoint(*cross)
+    return ProjPoint(*point)
 
 
 def _line_points(line: Component) -> tuple[tuple, tuple]:
@@ -89,12 +84,7 @@ def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
     if line.kind != "line" or conic.kind != "conic":
         raise ValueError("intersect_line_conic expects a line and a conic")
     p0, p1 = _line_points(line)
-    q = conic.form
-
-    A = q.evaluate_triple(p0)
-    C = q.evaluate_triple(p1)
-    mixed = tuple(a + b for a, b in zip(p0, p1))
-    B = q.evaluate_triple(mixed) - A - C
+    A, B, C = restrict_to_line(conic.form, p0, p1)
     disc = B * B - 4 * A * C
 
     def point_at(s: int, t: int) -> ProjPoint:

@@ -191,14 +191,6 @@ class MinimalityReport:
     axioms_used: tuple[str, ...]
 
 
-def _class_key(c: Combinatorics) -> tuple:
-    degs = dict(c.degrees)
-    points = (
-        (rec.local_type.key, tuple(sorted(degs[l] for l in rec.branches))) for rec in c.points
-    )
-    return tuple(sorted(degs.values())), tuple(sorted(points))
-
-
 def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     """Certify that no pair of proper sub-curves can form a Zariski pair.
 
@@ -229,8 +221,9 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     # into true combinatorial classes.  An automorphism g of arrangement 1
     # carries each sub-curve S onto g(S) with equivalent combinatorics, so
     # only the first sub-curve of each orbit is restricted and looked up,
-    # and its class counts the whole orbit
-    classes: list[dict] = []  # {key, comb, labels, count}
+    # and its class counts the whole orbit.  Classes are bucketed by the
+    # multiset of label fingerprints, an invariant `equivalences` checks first
+    buckets: dict[tuple, list[dict]] = {}  # key -> [{comb, labels, count}]
     seen: set[frozenset[str]] = set()
     for r in range(1, len(labels)):
         for subset in itertools.combinations(labels, r):
@@ -239,17 +232,18 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
             orbit = eqs.orbit(subset)
             seen |= orbit
             comb = c_full1.restrict(subset)
-            key = _class_key(comb)
-            for cls in classes:
-                if cls["key"] == key and equivalences(comb, cls["comb"], find_all=False):
+            bucket = buckets.setdefault(tuple(sorted(comb.fingerprints.values())), [])
+            for cls in bucket:
+                if equivalences(comb, cls["comb"], find_all=False):
                     cls["count"] += len(orbit)
                     break
             else:
-                classes.append({"key": key, "comb": comb, "labels": subset, "count": len(orbit)})
+                bucket.append({"comb": comb, "labels": subset, "count": len(orbit)})
 
     shared = [
         SharedClassResult(cls["labels"], cls["count"], connectivity_certificate(cls["comb"]))
-        for cls in classes
+        for bucket in buckets.values()
+        for cls in bucket
     ]
     shared.sort(key=lambda s: (len(s.representative), s.representative))
     return MinimalityReport(

@@ -105,14 +105,6 @@ class HomPoly:
     def coefficient(self, expo: tuple[int, int, int]):
         return self.coeffs[_monomial_index(self.degree)[expo]]
 
-    def evaluate(self, p: ProjPoint) -> int:
-        """Value at the canonical representative of p.
-
-        Only the zero / nonzero verdict is representative independent;
-        callers compare against 0.
-        """
-        return self.evaluate_triple(p.coords)
-
     def evaluate_triple(self, coords):
         """Value at a raw coordinate triple, without projective normalization."""
         px, py, pz = coords
@@ -167,6 +159,22 @@ class HomPoly:
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def cross(u, w) -> tuple:
+    """The cross product of two triples: the line through two points, or the point on two lines."""
+    return (
+        u[1] * w[2] - u[2] * w[1],
+        u[2] * w[0] - u[0] * w[2],
+        u[0] * w[1] - u[1] * w[0],
+    )
+
+
+def restrict_to_line(q: HomPoly, u, w) -> tuple:
+    """(A, B, C) with q(s*u + t*w) = A s^2 + B s t + C t^2; B is the polar value of u and w."""
+    a = q.evaluate_triple(u)
+    c = q.evaluate_triple(w)
+    return a, q.evaluate_triple(tuple(x + y for x, y in zip(u, w))) - a - c, c
 
 
 def monomial_row(n: int, p: ProjPoint) -> QVector:

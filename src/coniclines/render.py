@@ -2,21 +2,21 @@
 
 The only floating point in the package lives here, and nothing computed
 here flows back into any analysis.  Lines are clipped exactly against the
-window before the final float conversion.  The conic is sampled on
-integers through the pencil of lines at a rational point of height at
-most POINT_SEARCH_HEIGHT (every sample then lies exactly on the conic);
-any other conic is drawn by a float quadratic scan, which draws nothing
-for a definite conic, as it has no real points.
+window before the final float conversion.  The conic is swept once
+through the pencil of lines at a real point found in closed form, exactly
+on integers when that point is rational; a definite conic is not drawn.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
 from .incidence import singular_points
-from .poly import HomPoly, ProjPoint
+from .poly import HomPoly, cross, restrict_to_line
 
 PALETTE = (
     "#1f77b4",
@@ -125,56 +125,63 @@ def _line_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
     return [f"M {canvas.fmt(float(u1), float(v1))} L {canvas.fmt(float(u2), float(v2))}"]
 
 
-# an arbitrary bound, not a measured one: every bundled conic has a point
-# of height 1, and the search costs at most 728 evaluations at height 4;
-# a conic whose first point lies higher is drawn by the float scan
-POINT_SEARCH_HEIGHT = 4
+BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _rational_point_on_conic(q: HomPoly) -> ProjPoint | None:
-    for h in range(1, POINT_SEARCH_HEIGHT + 1):
-        coords = range(-h, h + 1)
-        for x in coords:
-            for y in coords:
-                for z in coords:
-                    if max(abs(x), abs(y), abs(z)) != h:
-                        continue
-                    p = ProjPoint(x, y, z)
-                    if q.evaluate(p) == 0:
-                        return p
+def _real_point_on_conic(q: HomPoly) -> tuple | None:
+    """A real point of the smooth conic q, or None when q is definite.
+
+    The lines tried are the three coordinate lines, then the line from each
+    e_k to its pole adj(M) e_k, M the doubled matrix of q.  If the first
+    three miss the conic, the diagonal of M has one sign and its 2x2
+    principal minors are positive; an indefinite q then has det M of the
+    opposite sign, so q(pole_k) = det M * adj(M)_kk / 2 and q(e_k) differ
+    in sign.  The point is in ints when the discriminant is a square.
+    """
+    a, b, c, d, e, f = q.coeffs  # x^2, xy, xz, y^2, yz, z^2
+    m = ((2 * a, b, c), (b, 2 * d, e), (c, e, 2 * f))
+    poles = (cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1]))  # columns of adj(M)
+    for u, w in (*itertools.combinations(BASIS, 2), *zip(BASIS, poles)):
+        A, B, C = restrict_to_line(q, u, w)
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            continue
+        if A == 0:
+            return u
+        root = math.isqrt(disc)
+        if root * root != disc:
+            root = math.sqrt(disc)
+        # (s : t) = (root - B : 2A); zero only when the pole is e_k itself
+        point = tuple((root - B) * x + 2 * A * y for x, y in zip(u, w))
+        if any(point):
+            return point
     return None
 
 
-def _conic_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
-    """Exact points sweeping the smooth conic q once, via the pencil of lines through p0.
+def _conic_samples(q: HomPoly, p0: tuple, count: int) -> list[tuple]:
+    """Raw triples sweeping the smooth conic q once, via the pencil of lines through p0.
 
-    The second intersection of the line through p0 with direction D is
-    q(D) * p0 - polar(p0, D) * D, a quadratic parameterization of the conic
-    by the projective parameter of D.  It is never zero: D is off p0, and
-    the tangent at p0 meets a smooth conic nowhere else.
+    The second intersection of the line through p0 with direction
+    D = s*d1 + t*d2 is q(D) * p0 - polar(p0, D) * D, never zero: D is off
+    p0, and the tangent at p0 meets a smooth conic nowhere else.  Both
+    factors are binary forms in (s, t), set up once, so a sample is plain
+    arithmetic, exact when p0 is.
     """
-    if abs(p0.coords[0]) == max(abs(v) for v in p0.coords):
-        d1, d2 = ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)
-    elif abs(p0.coords[1]) == max(abs(v) for v in p0.coords):
-        d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 0, 1)
-    else:
-        d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)
-
-    def polar(u, v) -> int:
-        both = tuple(a + b for a, b in zip(u, v))
-        return q.evaluate_triple(both) - q.evaluate_triple(u) - q.evaluate_triple(v)
+    k = max(range(3), key=lambda i: abs(p0[i]))
+    d1, d2 = (e for i, e in enumerate(BASIS) if i != k)
+    A, B, C = restrict_to_line(q, d1, d2)
+    pol1, pol2 = (restrict_to_line(q, p0, d)[1] for d in (d1, d2))
 
     # sweep the whole projective parameter line: u = w/count in (-1, 1) is
     # mapped to s = 3u/(1-u^2), which runs from -inf to +inf with good
     # density near 0; (s : 1) is the integer pair (3 w count : count^2 - w^2)
     params = [(3 * w * count, count * count - w * w) for w in range(2 - count, count, 2)]
     params.append((1, 0))
-    samples: list[ProjPoint] = []
+    samples: list[tuple] = []
     for s, t in params:
-        d = tuple(s * a + t * b for a, b in zip(d1.coords, d2.coords))
-        qd = q.evaluate_triple(d)
-        pol = polar(p0.coords, d)
-        samples.append(ProjPoint(*(qd * a - pol * b for a, b in zip(p0.coords, d))))
+        qd, pol = A * s * s + B * s * t + C * t * t, pol1 * s + pol2 * t
+        d = tuple(s * x + t * y for x, y in zip(d1, d2))
+        samples.append(tuple(qd * x - pol * y for x, y in zip(p0, d)))
     return samples
 
 
@@ -215,47 +222,13 @@ def _polylines_from_chart_points(
 
 def _conic_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
     q = _chart_form(CHART_ORDER[cfg.chart], form)
-    p0 = _rational_point_on_conic(q)
-    if p0 is not None:
-        # the samples are points of q, already in the chart's coordinates
-        samples = _conic_samples(q, p0, SAMPLE_COUNT)
-        pts = [_chart_point(CHART_ORDER["z"], p.coords) for p in samples]
-        # close the sweep so bounded conics render as loops
-        pts.append(pts[0] if pts else None)
-        return _polylines_from_chart_points(canvas, pts)
-    # fallback: float column scan (display only)
-    a = float(q.coefficient((0, 2, 0)))
-    upper: list[tuple[float, float] | None] = []
-    lower: list[tuple[float, float] | None] = []
-    for k in range(SAMPLE_COUNT + 1):
-        u = canvas.xmin + (canvas.xmax - canvas.xmin) * k / SAMPLE_COUNT
-        # q(u, v, 1) = a v^2 + bv(u) v + cv(u)
-        bv = float(q.coefficient((1, 1, 0))) * u + float(q.coefficient((0, 1, 1)))
-        cv = (
-            float(q.coefficient((2, 0, 0))) * u * u
-            + float(q.coefficient((1, 0, 1))) * u
-            + float(q.coefficient((0, 0, 2)))
-        )
-        if a == 0:
-            if bv != 0:
-                v = -cv / bv
-                upper.append((u, v))
-                lower.append(None)
-            else:
-                upper.append(None)
-                lower.append(None)
-            continue
-        disc = bv * bv - 4 * a * cv
-        if disc < 0:
-            upper.append(None)
-            lower.append(None)
-            continue
-        root = disc**0.5
-        upper.append((u, (-bv + root) / (2 * a)))
-        lower.append((u, (-bv - root) / (2 * a)))
-    return _polylines_from_chart_points(canvas, upper) + _polylines_from_chart_points(
-        canvas, lower
-    )
+    p0 = _real_point_on_conic(q)
+    if p0 is None:
+        return []  # a definite conic has no real points
+    # the samples are points of q, already in the chart's coordinates
+    pts = [_chart_point(CHART_ORDER["z"], p) for p in _conic_samples(q, p0, SAMPLE_COUNT)]
+    pts.append(pts[0])  # close the sweep so bounded conics render as loops
+    return _polylines_from_chart_points(canvas, pts)
 
 
 def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:

@@ -252,10 +252,10 @@ def zariski_certificate(
     c1 = a1.subcurve(split1[1])
     b2 = a2.subcurve(split2[0])
     c2 = a2.subcurve(split2[1])
-    _validate_split(b1, c1)
-    _validate_split(b2, c2)
-
+    # both reports first: a split error (ValueError) takes precedence over
+    # the hypothesis violations that `analyze_split` raises below
     points1, points2 = singular_points(a1), singular_points(a2)
+    report1, report2 = check_hypotheses(b1, c1, points1), check_hypotheses(b2, c2, points2)
     eqs = equivalences(combinatorics(a1, points1), combinatorics(a2, points2))
     found = bool(eqs)
     reasons: list[str] = []
@@ -266,8 +266,8 @@ def zariski_certificate(
     if found and not rigid:
         reasons.append("some equivalence does not preserve the (B, C) split")
 
-    an1 = analyze_split(b1, c1, check_hypotheses(b1, c1, points1))
-    an2 = analyze_split(b2, c2, check_hypotheses(b2, c2, points2))
+    an1 = analyze_split(b1, c1, report1)
+    an2 = analyze_split(b2, c2, report2)
     values = (an1.connected, an2.connected)
     if values[0] == values[1]:
         reasons.append(f"connected numbers agree ({values[0]} = {values[1]})")

@@ -126,7 +126,7 @@ def test_criterion_3_connected_numbers():
             assert witness is not None, name
             report = check_hypotheses(b, c, singular_points(b.arrangement))
             for p in report.intersection_points:
-                assert witness.evaluate(p) == 0, name
+                assert witness.evaluate_triple(p.coords) == 0, name
             for comp in c.components:
                 assert not sympy_divides(witness, comp.form), name
     print(
@@ -220,7 +220,7 @@ def test_criterion_7_property_suites():
         system = through_points(3, report.intersection_points)
         for f in (HomPoly(system.degree, v) for v in system.kernel.vectors):
             for p in report.intersection_points:
-                assert f.evaluate(p) == 0
+                assert f.evaluate_triple(p.coords) == 0
 
     # rank dual oracle (fraction-free vs naive fractions) up to 12x12
     rng = random.Random(4321)

@@ -341,6 +341,26 @@ def test_zariski_self_exit_3(capsys):
     assert "conclusion: Inconclusive" in out
 
 
+def test_zariski_split_error_precedes_hypothesis_violation(capsys, tmp_path):
+    # split 1 has an odd B (a hypothesis violation, exit 2); split 2 leaves
+    # L3 out of B and C (a split error, exit 1); the split error wins
+    f = tmp_path / "odd.txt"
+    f.write_text(
+        "line L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : 1 1 -5\n"
+        "curve B = L1\ncurve CC = L2 L3\ncurve PART = L2\n"
+    )
+    code, out, err = run(
+        capsys,
+        "zariski",
+        str(f),
+        str(f),
+        "--branch1", "B", "--curve1", "CC", "--branch2", "B", "--curve2", "PART",
+    )
+    assert (code, out) == (1, "")
+    assert "do not cover the arrangement" in err
+    assert "hypothesis" not in err
+
+
 def test_minimality_pair1(capsys):
     code, out, _ = run(capsys, "minimality", P1B1, P1B2)
     assert code == 0

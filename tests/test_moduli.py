@@ -231,7 +231,7 @@ def test_minimality_same_from_either_side(seed):
                 assert replay_certificate(full.restrict(s.representative), s.certificate)
 
 
-@pytest.mark.parametrize("name, orbits, lookups", [("pair1", 110, 61), ("pair2", 118, 70)])
+@pytest.mark.parametrize("name, orbits, lookups", [("pair1", 110, 59), ("pair2", 118, 67)])
 def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, monkeypatch):
     # of the 254 proper sub-curves only the first of each orbit of the
     # arrangement's automorphisms is restricted and looked up among the

@@ -70,12 +70,12 @@ def test_normalize_twice_is_idempotent():
 
 
 def test_conic_vanishes_at_tangency_point():
-    assert PAPER_CONIC.evaluate(ProjPoint(0, 1, 1)) == 0
+    assert PAPER_CONIC.evaluate_triple((0, 1, 1)) == 0
 
 
 def test_variable_evaluation():
-    assert X.evaluate(ProjPoint(0, 1, 1)) == 0
-    assert PAPER_CONIC.evaluate(ProjPoint(1, 0, 0)) == 1
+    assert X.evaluate_triple((0, 1, 1)) == 0
+    assert PAPER_CONIC.evaluate_triple((1, 0, 0)) == 1
 
 
 def test_monomial_row_degree_one():
@@ -105,7 +105,7 @@ def test_monomial_row_rejects_degree_zero():
 @settings(max_examples=100, deadline=None)
 def test_monomial_row_matches_evaluation(f, p):
     row = monomial_row(3, p)
-    assert sum(a * b for a, b in zip(row, f.coeffs)) == f.evaluate(p)
+    assert sum(a * b for a, b in zip(row, f.coeffs)) == f.evaluate_triple(p.coords)
 
 
 def test_multiplication_image_dimensions():

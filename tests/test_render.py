@@ -1,4 +1,4 @@
-"""SVG rendering: golden pictures, the exact conic sweep, the bounded point search."""
+"""SVG rendering: golden pictures, the conic sweep, the closed-form real point."""
 
 import subprocess
 import sys
@@ -6,10 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coniclines import parse
+from coniclines import parse, render
 from coniclines.arrangement import CONIC_EXPONENTS, conic_form, conic_matrix_determinant
 from coniclines.cli import main
 from coniclines.poly import HomPoly, ProjPoint, monomial_count
@@ -19,6 +20,7 @@ from coniclines.render import (
     _chart_form,
     _chart_point,
     _conic_samples,
+    _real_point_on_conic,
     render_svg,
 )
 
@@ -141,11 +143,11 @@ def test_integer_sweep_equals_fraction_sweep(point, coeffs, count):
     assume(any(values))
     q = conic_form(values)
     assume(conic_matrix_determinant(q) != 0)
-    assert q.evaluate(p0) == 0
-    samples = _conic_samples(q, p0, count)
-    assert samples == fraction_samples(q, p0, count)
+    assert q.evaluate_triple(p0.coords) == 0
+    samples = _conic_samples(q, p0.coords, count)
+    assert [ProjPoint(*p) for p in samples] == fraction_samples(q, p0, count)
     assert len(samples) == count
-    assert all(q.evaluate(p) == 0 for p in samples)
+    assert all(q.evaluate_triple(p) == 0 for p in samples)
 
 
 def _component_paths(svg: str) -> list[str]:
@@ -165,15 +167,53 @@ def _component_paths(svg: str) -> list[str]:
 )
 def test_point_search_is_bounded(text, drawn, monkeypatch):
     calls = 0
-    evaluate = HomPoly.evaluate
+    restrict_to_line = render.restrict_to_line
 
-    def counting(self, p):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return evaluate(self, p)
+        return restrict_to_line(*args)
 
-    monkeypatch.setattr(HomPoly, "evaluate", counting)
+    monkeypatch.setattr(render, "restrict_to_line", counting)
     svg = render_svg(parse(text))
-    # the search tries at most the 728 points of height at most 4
-    assert calls <= 728
+    # at most six lines for the point, then three binary forms for the sweep
+    assert calls <= 9
     assert bool(_component_paths(svg)) == drawn
+
+
+def test_conic_without_rational_points_is_one_closed_loop():
+    paths = _component_paths(render_svg(parse("conic C : 1 1 -3 0 0 0\n")))
+    assert len(paths) == 1
+    points = paths[0].split('d="M ')[1].split('"')[0].split(" L ")
+    assert len(points) == 257
+    assert points[0] == points[-1]
+
+
+def is_definite(q: HomPoly) -> bool:
+    """Sylvester's criterion on the doubled symmetric matrix of q, or on its negative."""
+    a, b, c, d, e, f = q.coeffs
+    m = sympy.Matrix([[2 * a, b, c], [b, 2 * d, e], [c, e, 2 * f]])
+    minors = [m[:k, :k].det() for k in (1, 2, 3)]
+    return all(v > 0 for v in minors) or all((-1) ** k * v > 0 for k, v in enumerate(minors, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 6, 1000]).flatmap(
+        lambda h: st.lists(st.integers(-h, h), min_size=6, max_size=6)
+    )
+)
+def test_real_point_is_none_exactly_for_a_definite_conic(coeffs):
+    q = HomPoly(2, coeffs)
+    assume(conic_matrix_determinant(q) != 0)
+    p = _real_point_on_conic(q)
+    assert (p is None) == is_definite(q)
+    if p is None:
+        return
+    assert any(p)
+    value = q.evaluate_triple(p)
+    if all(isinstance(v, int) for v in p):
+        assert value == 0
+    else:
+        scale = sum(abs(v) for v in coeffs) * max(abs(v) for v in p) ** 2
+        assert abs(value) <= 1e-12 * scale
