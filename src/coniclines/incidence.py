@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .arrangement import Arrangement, Component
 from .poly import ProjPoint, cross, restrict_to_line
@@ -338,7 +338,7 @@ class Equivalences:
     φ∘t₀∘…∘tₙ₋₁ in exactly one way, each tᵢ the identity or in
     `transversals[i]`: a base and strong generating set of Aut(c1) (McKay &
     Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
-    `len` is ∏(1 + |Tᵢ|); iterating composes every equivalence, sorted.
+    `len` is ∏(1 + |Tᵢ|).
     """
 
     phi: dict[str, str] | None
@@ -346,12 +346,6 @@ class Equivalences:
 
     def __len__(self) -> int:
         return 0 if self.phi is None else math.prod(1 + len(t) for t in self.transversals)
-
-    def __iter__(self) -> Iterator[dict[str, str]]:
-        maps = [] if self.phi is None else [self.phi]
-        for level in self.transversals:
-            maps += [{l: m[t[l]] for l in t} for m in maps for t in level]
-        return iter(sorted(maps, key=lambda m: tuple(m.values())))
 
     @cached_property
     def generators(self) -> tuple[dict[str, str], ...]:

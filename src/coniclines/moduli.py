@@ -11,8 +11,13 @@ explicit assumptions in the reports:
     curve with at most two points of local multiplicity >= 2 keeps the
     realization space irreducible (cited sufficient criterion).
 
-The ordering search is exhaustive backtracking; failure is reported as
-Unknown, never as "not minimal".
+The build order is found by peeling.  n_value(c, l, prior) can only grow
+as `prior` grows, so removing a line with n <= 2 against all the other
+lines keeps every build order of the rest valid.  Peeling such lines off
+the full set one at a time and placing each last (smallest-last ordering,
+Matula & Beck, J. ACM 30, 1983) therefore finds an order whenever one
+exists, in at most k(k+1)/2 n-value tests for k transversal lines.
+Failure is reported as Unknown, never as "not minimal".
 """
 
 from __future__ import annotations
@@ -108,31 +113,23 @@ def connectivity_certificate(c: Combinatorics) -> OrderingCertificate | None:
     if len(tangents) > 2:
         return None
     base = (conic, *tangents)
-    rest = sorted(set(lines) - set(tangents))
+    rest = sorted(set(lines) - set(tangents), reverse=True)
 
-    # `remaining` is `rest` minus `prior`, so a state that failed once
-    # fails again; remembering them bounds the search by 2^len(rest) states
-    dead: set[frozenset[str]] = set()
-
-    def extend(prior: frozenset[str], remaining: list[str]) -> tuple[list[str], list[int]] | None:
-        if not remaining:
-            return [], []
-        if prior in dead:
+    # peel from the top: a line with n <= 2 against every other placed line
+    # can come last, and `top - {l}` is then exactly its prior set
+    top = {conic, *lines}
+    order, n_values = [], []
+    while rest:
+        for l in rest:
+            n = n_value(c, l, top - {l})
+            if n <= 2:
+                break
+        else:
             return None
-        for l in remaining:
-            n = n_value(c, l, prior)
-            if n > 2:
-                continue
-            tail = extend(prior | {l}, [m for m in remaining if m != l])
-            if tail is not None:
-                return [l] + tail[0], [n] + tail[1]
-        dead.add(prior)
-        return None
-
-    found = extend(frozenset(base), rest)
-    if found is None:
-        return None
-    order, n_values = found
+        rest.remove(l)
+        top.remove(l)
+        order.insert(0, l)
+        n_values.insert(0, n)
     return OrderingCertificate(
         base=base, order=tuple(order), n_values=tuple(n_values), base_rule="ConicWithTangents"
     )

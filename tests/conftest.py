@@ -9,8 +9,8 @@ import sympy as sp
 
 from coniclines import parse
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form
-from coniclines.incidence import Combinatorics, combinatorics, equivalences
-from coniclines.moduli import connectivity_certificate
+from coniclines.incidence import Combinatorics, Equivalences, combinatorics, equivalences
+from coniclines.moduli import OrderingCertificate, _tangent_lines, connectivity_certificate, n_value
 from coniclines.poly import HomPoly, monomials
 
 from .oracles import X, Y, Z, to_sympy
@@ -220,6 +220,64 @@ def every_bijection(c1: Combinatorics, c2: Combinatorics) -> list[dict[str, str]
         ):
             found.append(m)
     return sorted(found, key=lambda m: tuple(m[l] for l in c1.labels))
+
+
+def every_equivalence(eqs: Equivalences) -> list[dict[str, str]]:
+    """Every equivalence φ∘t₀∘…∘tₙ₋₁ composed from φ and the transversals, sorted.
+
+    The full listing that no command makes; tests compare it against
+    `every_bijection` and read properties off it.
+    """
+    maps = [] if eqs.phi is None else [eqs.phi]
+    for level in eqs.transversals:
+        maps += [{l: m[t[l]] for l in t} for m in maps for t in level]
+    return sorted(maps, key=lambda m: tuple(m.values()))
+
+
+def backtracking_certificate(c: Combinatorics) -> OrderingCertificate | None:
+    """`connectivity_certificate` by depth-first search over build orders.
+
+    The reference that peeling is compared against: from the base, try
+    each remaining line in sorted order with n <= 2, recurse, and
+    remember every prior set that failed, so at most 2^k prior sets are
+    visited for k transversal lines.
+    """
+    conics = [l for l, d in c.degrees if d == 2]
+    lines = [l for l, d in c.degrees if d == 1]
+    if not conics:
+        if len(lines) <= 9:
+            return OrderingCertificate(
+                base=tuple(lines), order=(), n_values=(), base_rule="PureLinesAtMost9"
+            )
+        return None
+    conic = conics[0]
+    tangents = _tangent_lines(c, conic)
+    if len(tangents) > 2:
+        return None
+    base = (conic, *tangents)
+    dead: set[frozenset[str]] = set()
+
+    def extend(prior: frozenset[str], remaining: list[str]) -> tuple[list[str], list[int]] | None:
+        if not remaining:
+            return [], []
+        if prior in dead:
+            return None
+        for l in remaining:
+            n = n_value(c, l, prior)
+            if n > 2:
+                continue
+            tail = extend(prior | {l}, [m for m in remaining if m != l])
+            if tail is not None:
+                return [l] + tail[0], [n] + tail[1]
+        dead.add(prior)
+        return None
+
+    found = extend(frozenset(base), sorted(set(lines) - set(tangents)))
+    if found is None:
+        return None
+    return OrderingCertificate(
+        base=base, order=tuple(found[0]), n_values=tuple(found[1]), base_rule="ConicWithTangents"
+    )
 
 
 def random_matrix_rows(rng: random.Random, max_dim: int = 12):

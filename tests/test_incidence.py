@@ -31,6 +31,7 @@ from .conftest import (
     PAIR_FILES,
     cleared,
     every_bijection,
+    every_equivalence,
     generic_lines,
     load,
     random_arrangement,
@@ -248,13 +249,13 @@ def test_combinatorics_across_pairs_distinct():
     eqs = equivalences(
         combinatorics(load("pair1_B1")), combinatorics(load("pair2_B1"))
     )
-    assert not eqs and list(eqs) == []
+    assert not eqs and every_equivalence(eqs) == []
 
 
 def test_equivalences_contain_identity(pair1_b1):
     c = combinatorics(pair1_b1)
     eqs = equivalences(c, c)
-    assert {l: l for l in c.labels} in eqs
+    assert {l: l for l in c.labels} in every_equivalence(eqs)
 
 
 def test_equivalences_symmetric(pair1_b1, pair1_b2):
@@ -262,15 +263,16 @@ def test_equivalences_symmetric(pair1_b1, pair1_b2):
     forward = equivalences(c1, c2)
     backward = equivalences(c2, c1)
     assert len(forward) == len(backward)
-    inverses = [{v: k for k, v in m.items()} for m in forward]
+    inverses = [{v: k for k, v in m.items()} for m in every_equivalence(forward)]
+    listed = every_equivalence(backward)
     for inv in inverses:
-        assert inv in backward
+        assert inv in listed
 
 
 def test_pair1_rigidity_of_triangle(pair1_b1, pair1_b2):
     eqs = equivalences(combinatorics(pair1_b1), combinatorics(pair1_b2))
     assert eqs
-    for m in eqs:
+    for m in every_equivalence(eqs):
         assert {m[l] for l in ("L1", "L2", "L3")} == {"L1", "L2", "L3"}
         assert m["L3"] == "L3"
         assert m["C"] == "C"
@@ -279,7 +281,7 @@ def test_pair1_rigidity_of_triangle(pair1_b1, pair1_b2):
 def test_pair2_rigidity_of_conic_plus_line(pair2_b1, pair2_b2):
     eqs = equivalences(combinatorics(pair2_b1), combinatorics(pair2_b2))
     assert eqs
-    for m in eqs:
+    for m in every_equivalence(eqs):
         assert {m[l] for l in ("C", "L1")} == {"C", "L1"}
 
 
@@ -325,7 +327,7 @@ def test_combinatorics_invariant_under_projective_transform(seed):
     transformed = transform_arrangement(a, m)
     c1, c2 = combinatorics(a), combinatorics(transformed)
     identity = {l: l for l in c1.labels}
-    assert identity in equivalences(c1, c2)
+    assert identity in every_equivalence(equivalences(c1, c2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,7 +343,7 @@ def test_equivalences_match_every_bijection(seed, partner):
         b = random_arrangement(rng, max_lines=6)
     c1, c2 = combinatorics(a), combinatorics(b)
     expected = every_bijection(c1, c2)
-    assert list(equivalences(c1, c2)) == expected
+    assert every_equivalence(equivalences(c1, c2)) == expected
     if expected:
         assert equivalences(c1, c2, find_all=False).phi in expected
     else:
@@ -392,7 +394,7 @@ def test_generic_lines_check_one_leaf_per_transversal_element(monkeypatch, n):
     calls = leaf_checks(monkeypatch)
     eqs = equivalences(c, c)
     assert len(calls) == 1 + n * (n - 1) // 2
-    assert len({tuple(m.values()) for m in eqs}) == len(eqs) == math.factorial(n)
+    assert len({tuple(m.values()) for m in every_equivalence(eqs)}) == len(eqs) == math.factorial(n)
 
 
 @pytest.mark.parametrize("name, checks", [("pair1", 6), ("pair2", 3)])

@@ -1,6 +1,7 @@
 """Connectivity certificates: n-values, ordering search, minimality driver."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -21,6 +22,8 @@ from coniclines.moduli import (
 )
 
 from .conftest import (
+    PAIR_FILES,
+    backtracking_certificate,
     every_subset_classes,
     generic_lines,
     load,
@@ -111,8 +114,10 @@ line T3 : 1 0 1
 
 def test_certificate_search_is_bounded(monkeypatch):
     # a conic with 12 transversal lines x=i, y=i, x+y=s, no ordering with
-    # every n_t <= 2: without remembering dead states the search runs for
-    # minutes; with them it visits each of the 2^12 prior sets at most once
+    # every n_t <= 2: peeling removes at most one line per scan of the
+    # remaining ones, so it makes at most 12 + 11 + ... + 1 = 78 n_value
+    # calls before it gets stuck (a depth-first search of build orders
+    # would visit up to 2^12 sets of placed lines)
     text = "conic C : 1 1 -1000 0 0 0\n"
     text += "".join(f"line X{i} : 1 0 {-i}\nline Y{i} : 0 1 {-i}\n" for i in range(1, 5))
     text += "".join(f"line S{s} : 1 1 {-s}\n" for s in range(2, 6))
@@ -123,12 +128,97 @@ def test_certificate_search_is_bounded(monkeypatch):
     def counting_n_value(*args):
         nonlocal calls
         calls += 1
-        if calls > rest * 2**rest:
-            raise AssertionError(f"more than {rest} * 2^{rest} n_value calls")
+        if calls > rest * (rest + 1) // 2:
+            raise AssertionError(f"more than {rest} * {rest + 1} / 2 n_value calls")
         return n_value(*args)
 
     monkeypatch.setattr(moduli, "n_value", counting_n_value)
     assert connectivity_certificate(c) is None
+
+
+def every_sub_combinatorics(c: Combinatorics):
+    for r in range(1, len(c.labels) + 1):
+        for subset in itertools.combinations(c.labels, r):
+            yield c.restrict(subset)
+
+
+def assert_peeling_agrees_with_backtracking(c: Combinatorics):
+    # an order exists exactly when the depth-first search finds one, and
+    # every peeled order replays
+    cert = connectivity_certificate(c)
+    assert (cert is None) == (backtracking_certificate(c) is None), c.labels
+    assert cert is None or replay_certificate(c, cert), c.labels
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_peeling_decides_every_bundled_sub_combinatorics(name):
+    for sub in every_sub_combinatorics(combinatorics(load(name))):
+        assert_peeling_agrees_with_backtracking(sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_peeling_decides_every_sub_combinatorics(seed):
+    for sub in every_sub_combinatorics(combinatorics(symmetric_arrangement(random.Random(seed)))):
+        assert_peeling_agrees_with_backtracking(sub)
+
+
+GRID = (
+    "conic C : 1 1 -1000 0 0 0\n"
+    + "".join(f"line X{i} : 1 0 {-i}\n" for i in range(4))
+    + "".join(f"line Y{i} : 0 1 {-i}\n" for i in range(4))
+    + "".join(f"line S{s} : 1 1 {-s}\n" for s in range(1, 5))
+)
+
+GRID_COMBINATORICS = comb_of(GRID)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(GRID_COMBINATORICS.labels[1:]), min_size=8, max_size=10))
+def test_peeling_decides_grid_sub_curves(lines):
+    # a conic with 8 to 10 lines of the grid, whose many triple points
+    # often leave no build order: about one draw in four of 10 lines
+    assert_peeling_agrees_with_backtracking(GRID_COMBINATORICS.restrict({"C", *lines}))
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_single_component_deletions_keep_the_backtracking_order(name):
+    # `minimality` prints these orders when the file comes first
+    c = combinatorics(load(name))
+    for l in c.labels:
+        sub = c.restrict(set(c.labels) - {l})
+        assert connectivity_certificate(sub) == backtracking_certificate(sub), l
+
+
+def counting_n_value(monkeypatch) -> list:
+    """Records one entry per `n_value` call made through `moduli`."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return n_value(*args)
+
+    monkeypatch.setattr(moduli, "n_value", counting)
+    return calls
+
+
+def test_grid_minimality_n_value_count(monkeypatch):
+    # a conic with the 12 lines x = 0..3, y = 0..3, x + y = 1..4: the
+    # depth-first search made 164,380 n_value calls here
+    a = parse(GRID)
+    calls = counting_n_value(monkeypatch)
+    report = minimality_check(a, a)
+    assert len(calls) == 1061
+    assert (len(report.shared_classes), report.overall) == (204, "Unknown")
+    assert sum(s.certificate is not None for s in report.shared_classes) == 179
+
+
+@pytest.mark.parametrize("name, most", [("pair1", 136), ("pair2", 159)])
+def test_bundled_minimality_n_value_count(name, most, monkeypatch):
+    # at most the depth-first search's count on the same pair
+    calls = counting_n_value(monkeypatch)
+    minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("name", ["pair1_B1", "pair2_B1"])
@@ -269,7 +359,7 @@ def test_minimality_on_generic_lines_restricts_one_sub_curve_per_size(monkeypatc
         raise AssertionError("the equivalences were listed")
 
     monkeypatch.setattr(Combinatorics, "restrict", counting_restrict)
-    monkeypatch.setattr(Equivalences, "__iter__", refuse)
+    monkeypatch.setattr(Equivalences, "__iter__", refuse, raising=False)
     a = parse(generic_lines(8))
     report = minimality_check(a, relabelled_image(a, random.Random(8)))
     assert counts == {"restrict": 7 + 8}
