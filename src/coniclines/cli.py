@@ -3,11 +3,14 @@
 Exit codes are a stable contract: 0 success (and CandidatePair), 1 input
 error, 2 hypothesis violation, 3 inconclusive result, 4 internal error.
 All output is deterministic, so every command is golden-file testable.
+`main` can be called repeatedly in one process: the parser is built on the
+first call, and commands are dispatched by name (`cmd_<command>`) at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -251,6 +254,7 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coniclines",
@@ -260,37 +264,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="components, singular points, Bezout checks")
     p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="combinatorial equivalences of two arrangements")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("split", help="hypotheses, linear system and connected number")
     p.add_argument("file")
     p.add_argument("--branch", required=True, help="name of the branching sub-curve B")
     p.add_argument("--curve", required=True, help="name of the covered sub-curve C")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("zariski", help="candidate Zariski-pair certificate")
     p.add_argument("file1")
     p.add_argument("file2")
     for option in ("--branch1", "--curve1", "--branch2", "--curve2"):
         p.add_argument(option, required=True)
-    p.set_defaults(func=cmd_zariski)
 
     p = sub.add_parser("minimality", help="certify that no proper sub-pair is a Zariski pair")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=cmd_minimality)
 
     p = sub.add_parser("render", help="SVG picture of the real points")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--window", nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.add_argument("--chart", choices=("x", "y", "z"), default="z")
-    p.set_defaults(func=cmd_render)
     # argparse takes only -N and -N.N for negative numbers, so a bound such
     # as -1/2 would be read as an option; render has no option like -1.
     # This sets a private argparse attribute (the pattern Python 3.13 uses);
@@ -301,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -207,12 +207,12 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
             "minimality requires combinatorially equivalent arrangements"
         )
     labels = c_full1.labels
+    whole = frozenset(labels)
 
-    # headline: single-component deletions, matched through the equivalence φ
-    deletions = [
-        DeletionResult(l, eqs.phi[l], connectivity_certificate(c_full1.restrict(set(labels) - {l})))
-        for l in labels
-    ]
+    # headline: single-component deletions, matched through φ; the sweep reuses them
+    dropped = {whole - {l}: c_full1.restrict(whole - {l}) for l in labels}
+    certs = {sub: connectivity_certificate(comb) for sub, comb in dropped.items()}
+    deletions = [DeletionResult(l, eqs.phi[l], certs[whole - {l}]) for l in labels]
 
     # full sweep: every proper nonempty sub-curve of arrangement 1, grouped
     # into true combinatorial classes.  An automorphism g of arrangement 1
@@ -224,11 +224,12 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     seen: set[frozenset[str]] = set()
     for r in range(1, len(labels)):
         for subset in itertools.combinations(labels, r):
-            if frozenset(subset) in seen:
+            key = frozenset(subset)
+            if key in seen:
                 continue
             orbit = eqs.orbit(subset)
             seen |= orbit
-            comb = c_full1.restrict(subset)
+            comb = dropped[key] if key in dropped else c_full1.restrict(subset)
             bucket = buckets.setdefault(tuple(sorted(comb.fingerprints.values())), [])
             for cls in bucket:
                 if equivalences(comb, cls["comb"], find_all=False):
@@ -236,9 +237,11 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
                     break
             else:
                 bucket.append({"comb": comb, "labels": subset, "count": len(orbit)})
+                if key not in certs:
+                    certs[key] = connectivity_certificate(comb)
 
     shared = [
-        SharedClassResult(cls["labels"], cls["count"], connectivity_certificate(cls["comb"]))
+        SharedClassResult(cls["labels"], cls["count"], certs[frozenset(cls["labels"])])
         for bucket in buckets.values()
         for cls in bucket
     ]

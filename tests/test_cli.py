@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, determinism, SVG output."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from coniclines import splitting
-from coniclines.cli import main
+from coniclines import cli, splitting
+from coniclines.cli import build_parser, main
 from coniclines.incidence import Equivalences
 
 from .conftest import PAIR_FILES, generic_lines
@@ -485,3 +486,75 @@ def test_zariski_deterministic_report(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def exits(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_main_can_be_called_repeatedly(capsys, tmp_path, monkeypatch):
+    # one process, one parser: no option or error of one call leaks into the next
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    pic = tmp_path / "pic.svg"
+    assert run(capsys, "render", P1B1, "-o", str(pic), "--chart", "x")[0] == 0
+    assert run(capsys, "render", P1B1, "-o", str(pic))[0] == 0
+    assert pic.read_bytes() == (GOLDEN / "render_pair1_B1_z.svg").read_bytes()
+
+    fresh = build_parser.__wrapped__().parse_args
+    # a usage error (no --branch) goes to stderr with exit 2, help to stdout with exit 0
+    for argv, expected in (
+        (["split", "data/pair1_B1.txt"], 2),
+        (["--help"], 0),
+        (["minimality", "--help"], 0),
+    ):
+        code, out, err = exits(capsys, main, argv)
+        assert (code, out, err) == exits(capsys, fresh, argv)
+        printed, silent = (err, out) if code else (out, err)
+        assert code == expected and printed.startswith("usage: coniclines") and silent == ""
+
+    window = ["--window", "-1/2", "1/2", "-1", "1"]
+    assert run(capsys, "render", P1B1, "-o", str(pic), *window) == (0, f"wrote {pic}\n", "")
+    for golden, argv in (
+        ("analyze_pair1_B1.txt", ["analyze", "data/pair1_B1.txt"]),
+        ("minimality_pair1.txt", ["minimality", "data/pair1_B1.txt", "data/pair1_B2.txt"]),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_one_parser_per_process(capsys, tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    jobs = [
+        ["analyze", P1B1],
+        ["compare", P1B1, P1B2],
+        ["split", P1B1, "--branch", "B", "--curve", "CC"],
+        ["zariski", P1B1, P1B2, "--branch1", "B", "--curve1", "CC",
+         "--branch2", "B", "--curve2", "CC"],
+        ["minimality", P1B1, P1B2],
+        ["render", P1B1, "-o", str(tmp_path / "pic.svg")],
+    ]
+    for i in range(20):
+        assert main(jobs[i % len(jobs)]) == 0
+    capsys.readouterr()
+    # the top-level parser and one subparser per command
+    assert len(built) == 7
+
+
+def test_commands_are_dispatched_by_name_at_call_time(capsys, monkeypatch):
+    # the cached parser holds no command functions: a replaced `cmd_*` is the one called
+    assert run(capsys, "analyze", P1B1)[0] == 0
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: print(f"stub {args.file}") or 3)
+    assert run(capsys, "analyze", P1B1) == (3, f"stub {P1B1}\n", "")

@@ -204,18 +204,19 @@ def counting_n_value(monkeypatch) -> list:
 
 def test_grid_minimality_n_value_count(monkeypatch):
     # a conic with the 12 lines x = 0..3, y = 0..3, x + y = 1..4: the
-    # depth-first search made 164,380 n_value calls here
+    # depth-first search made 164,380 n_value calls here, and the peel
+    # 1,061 while each deletion was certified again as a class of the sweep
     a = parse(GRID)
     calls = counting_n_value(monkeypatch)
     report = minimality_check(a, a)
-    assert len(calls) == 1061
+    assert len(calls) == 1005
     assert (len(report.shared_classes), report.overall) == (204, "Unknown")
     assert sum(s.certificate is not None for s in report.shared_classes) == 179
 
 
-@pytest.mark.parametrize("name, most", [("pair1", 136), ("pair2", 159)])
+@pytest.mark.parametrize("name, most", [("pair1", 118), ("pair2", 126)])
 def test_bundled_minimality_n_value_count(name, most, monkeypatch):
-    # at most the depth-first search's count on the same pair
+    # the depth-first search made 136 and 159 calls on the same pairs
     calls = counting_n_value(monkeypatch)
     minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
     assert len(calls) <= most
@@ -325,8 +326,9 @@ def test_minimality_same_from_either_side(seed):
 def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, monkeypatch):
     # of the 254 proper sub-curves only the first of each orbit of the
     # arrangement's automorphisms is restricted and looked up among the
-    # classes; the 8 deletions are restricted too, and one more
-    # `equivalences` call matches the two arrangements
+    # classes; the 8 deletions are restricted first, and the 5 orbits of
+    # 7-component sub-curves reuse them.  One more `equivalences` call
+    # matches the two arrangements
     counts = {"restrict": 0, "equivalences": 0}
     restrict, equivalences = Combinatorics.restrict, moduli.equivalences
 
@@ -341,13 +343,34 @@ def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, mon
     monkeypatch.setattr(Combinatorics, "restrict", counting_restrict)
     monkeypatch.setattr(moduli, "equivalences", counting_equivalences)
     minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
-    assert counts == {"restrict": orbits + 8, "equivalences": 1 + lookups}
+    assert counts == {"restrict": orbits + 8 - 5, "equivalences": 1 + lookups}
+
+
+@pytest.mark.parametrize("name", ["pair1", "pair2"])
+def test_minimality_certifies_each_deletion_once(name, monkeypatch):
+    # 51 classes and 8 deletions, 5 of the classes being deletions: each
+    # sub-curve is certified once, and the report keeps the same certificate
+    calls = []
+
+    def counting(c):
+        calls.append(frozenset(c.labels))
+        return connectivity_certificate(c)
+
+    monkeypatch.setattr(moduli, "connectivity_certificate", counting)
+    report = minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
+    assert (len(report.shared_classes), len(calls), len(set(calls))) == (51, 54, 54)
+    whole = frozenset(d.deleted for d in report.deletions)
+    classes = {frozenset(s.representative): s.certificate for s in report.shared_classes}
+    reused = [d for d in report.deletions if whole - {d.deleted} in classes]
+    assert len(reused) == 5
+    assert all(classes[whole - {d.deleted}] is d.certificate for d in reused)
 
 
 def test_minimality_on_generic_lines_restricts_one_sub_curve_per_size(monkeypatch):
     # every permutation of 8 generic lines is an automorphism: the orbits
     # are the sizes 1..7, found by closing under 28 generators, and the
-    # 40,320 equivalences are never listed
+    # 40,320 equivalences are never listed; the orbit of size 7 reuses the
+    # first of the 8 deletions
     counts = {"restrict": 0}
     restrict = Combinatorics.restrict
 
@@ -362,7 +385,7 @@ def test_minimality_on_generic_lines_restricts_one_sub_curve_per_size(monkeypatc
     monkeypatch.setattr(Equivalences, "__iter__", refuse, raising=False)
     a = parse(generic_lines(8))
     report = minimality_check(a, relabelled_image(a, random.Random(8)))
-    assert counts == {"restrict": 7 + 8}
+    assert counts == {"restrict": 7 + 8 - 1}
     assert [s.count for s in report.shared_classes] == [math.comb(8, r) for r in range(1, 8)]
     assert report.overall == "Minimal"
 

@@ -1,10 +1,12 @@
 """The public surface of `src/` is used by the program, not only by the tests.
 
 A public function or method is used when its name appears as a name or an
-attribute somewhere in the package, the scripts or the benchmark.  Import
-aliases and `__all__` strings are not uses.  The check matches names, not
-bindings, so a method that shares its name with a used one passes
-unnoticed (`Arrangement.restrict` against `Combinatorics.restrict`).
+attribute somewhere in the package, the scripts or the benchmark; a CLI
+command `cmd_<name>` is used when `add_parser` registers the subcommand
+`<name>`, which `cli.main` dispatches to it by name.  Import aliases and
+`__all__` strings are not uses.  The check matches names, not bindings, so
+a method that shares its name with a used one passes unnoticed
+(`Arrangement.restrict` against `Combinatorics.restrict`).
 
 The package also computes on integers only: `parse` clears the fractions
 of an input file, and only the `--window` bounds of `render` stay rational.
@@ -44,6 +46,8 @@ def used_names() -> set[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_parser":
+                used.add(f"cmd_{node.args[0].value}")
     return used
 
 
