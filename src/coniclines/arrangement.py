@@ -21,7 +21,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .poly import HomPoly
 
@@ -29,6 +29,14 @@ LINE_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 CONIC_EXPONENTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+
+class ComponentError(ValueError):
+    """A component that repeats a label of, or clashes with, the ones before it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index  # of the component in `Arrangement.components`
 
 
 class ParseError(ValueError):
@@ -114,9 +122,21 @@ class Arrangement:
     subcurves: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        """One pass over the components, against the labels and forms seen so far."""
+        labels: set[str] = set()
+        forms: dict[HomPoly, str] = {}
+        conic = False
         for i, comp in enumerate(self.components):
-            _check_component(self.components[:i], comp)
-        labels = set(self.labels)
+            if comp.label in labels:
+                raise ComponentError(f"duplicate label {comp.label}", i)
+            if comp.kind == "conic" and conic:
+                raise ComponentError("more than one conic", i)
+            if comp.form in forms:
+                message = f"component {comp.label} is proportional to {forms[comp.form]}"
+                raise ComponentError(message, i)
+            labels.add(comp.label)
+            forms[comp.form] = comp.label
+            conic = conic or comp.kind == "conic"
         for name, members in self.subcurves.items():
             _check_subcurve(labels, name, members)
 
@@ -149,17 +169,6 @@ class Arrangement:
         if name not in self.subcurves:
             raise KeyError(f"arrangement declares no sub-curve named {name!r}")
         return SubCurve(self, self.subcurves[name])
-
-
-def _check_component(prior: Sequence[Component], comp: Component) -> None:
-    """Reject a component that repeats a label of, or clashes with, the ones before it."""
-    if any(p.label == comp.label for p in prior):
-        raise ValueError(f"duplicate label {comp.label}")
-    if comp.kind == "conic" and any(p.kind == "conic" for p in prior):
-        raise ValueError("more than one conic")
-    for p in prior:
-        if p.form == comp.form:
-            raise ValueError(f"component {comp.label} is proportional to {p.label}")
 
 
 def _check_subcurve(labels: set[str], name: str, members: tuple[str, ...]) -> None:
@@ -198,12 +207,19 @@ class SubCurve:
 def parse(text: str) -> Arrangement:
     """Parse and validate an arrangement file.
 
-    Each declaration is checked against the ones above it by the checks
-    `Arrangement` makes, and an error names the declaration's line and the
-    column of its label.
+    The components are checked once, by `Arrangement`, and a sub-curve
+    against the components declared above it.  An error names the first
+    faulty declaration's line and the column of its label.
     """
     components: list[Component] = []
+    positions: list[tuple[int, int]] = []  # (line, label column) per component
     subcurves: dict[str, tuple[str, ...]] = {}
+
+    def arrangement() -> Arrangement:
+        try:
+            return Arrangement(tuple(components), subcurves)
+        except ComponentError as exc:
+            raise ParseError(str(exc), *positions[exc.index]) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
@@ -236,11 +252,10 @@ def parse(text: str) -> Arrangement:
             coeffs = [n * (den // d) for n, d in ratios]
             try:
                 form = line_form(coeffs) if keyword == "line" else conic_form(coeffs)
-                comp = Component(label, keyword, form)
-                _check_component(components, comp)
+                components.append(Component(label, keyword, form))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, label_col)
-            components.append(comp)
+            positions.append((lineno, label_col))
 
         elif keyword == "curve":
             if len(tokens) < 3 or tokens[2][0] != "=":
@@ -254,13 +269,14 @@ def parse(text: str) -> Arrangement:
             try:
                 _check_subcurve({c.label for c in components}, name, members)
             except ValueError as exc:
+                arrangement()  # a faulty component above this line is reported first
                 raise ParseError(str(exc), lineno, name_col)
             subcurves[name] = members
 
         else:
             raise ParseError(f"unknown declaration {keyword!r}", lineno, kw_col)
 
-    return Arrangement(tuple(components), subcurves)
+    return arrangement()
 
 
 def _coeff_string(form: HomPoly, exponents) -> str:

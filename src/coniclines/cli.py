@@ -29,6 +29,7 @@ from .incidence import (
     singular_points,
 )
 from .moduli import minimality_check, minimality_report_text
+from .poly import digits
 from .render import RenderConfig, render_svg
 from .splitting import (
     SplitHypothesisError,
@@ -117,7 +118,7 @@ def cmd_analyze(args) -> int:
                     loc: ConjugatePair = p.location
                     out.append(
                         f"    {_branch_set(p.branches, a)} conjugate pair, "
-                        f"discriminant {loc.discriminant}"
+                        f"discriminant {digits(loc.discriminant)}"
                     )
     if a.components:
         npairs = len(a.components) * (len(a.components) - 1) // 2

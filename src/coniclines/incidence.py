@@ -5,29 +5,36 @@ intersections can leave the rationals.  Those are kept symbolic as a
 conjugate pair (line, conic, discriminant): the pair contributes two
 nodes, and no third component can pass through either point, so no
 field-extension arithmetic is ever needed.
+
+An arrangement's `Combinatorics` is computed once, and a sub-arrangement's
+is its restriction: the whole structure memoises each distinct (point,
+kept branches) with that point's facts, which every sub-curve shares.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .arrangement import Arrangement, Component
+from .linalg import primitive
 from .poly import ProjPoint, cross, restrict_to_line
+
+Coords = tuple[int, int, int]  # primitive, first nonzero coordinate positive
 
 
 @dataclass(frozen=True)
 class Tangent:
-    point: ProjPoint
+    point: Coords
 
 
 @dataclass(frozen=True)
 class TwoRational:
-    p1: ProjPoint
-    p2: ProjPoint
+    p1: Coords
+    p2: Coords
 
 
 @dataclass(frozen=True)
@@ -47,30 +54,26 @@ class ConjugatePair:
 LineConicOutcome = Tangent | TwoRational | ConjugatePair
 
 
-def intersect_lines(l1: Component, l2: Component) -> ProjPoint:
+def intersect_lines(l1: Component, l2: Component) -> Coords:
     """The unique common point of two non-proportional lines (cross product)."""
     if l1.kind != "line" or l2.kind != "line":
         raise ValueError("intersect_lines expects two lines")
     point = cross(l1.form.coeffs, l2.form.coeffs)
     if not any(point):
         raise ValueError(f"lines {l1.label} and {l2.label} are proportional")
-    return ProjPoint(*point)
+    return primitive(point)
 
 
-def _line_points(line: Component) -> tuple[tuple, tuple]:
+def _line_points(line: Component) -> tuple[Coords, Coords]:
     """Two canonical integer coordinate vectors spanning the line a*x + b*y + c*z.
 
     The kernel basis of the row (a, b, c) in closed form: one vector per
-    free column, each primitive with first nonzero entry positive.  Raw
-    tuples, not ProjPoints: the discriminant arithmetic needs
-    unnormalized linear combinations.
+    free column, each primitive with first nonzero entry positive.
     """
     a, b, c = line.form.coeffs
     if a:
-        v1, v2 = (-b, a, 0), (-c, 0, a)
-    else:
-        v1, v2 = (1, 0, 0), (0, -c, b)
-    return ProjPoint(*v1).coords, ProjPoint(*v2).coords
+        return primitive((-b, a, 0)), primitive((-c, 0, a))
+    return (1, 0, 0), primitive((0, -c, b))
 
 
 def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
@@ -79,7 +82,7 @@ def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
     Parameterize the line by s*P0 + t*P1 and restrict the conic to a binary
     quadratic A s^2 + B s t + C t^2; then Δ = B^2 - 4AC decides: 0 is a
     tangency, a nonzero square gives two rational points, anything else a
-    conjugate pair.
+    conjugate pair.  Points are primitive coordinate triples.
     """
     if line.kind != "line" or conic.kind != "conic":
         raise ValueError("intersect_line_conic expects a line and a conic")
@@ -87,13 +90,13 @@ def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
     A, B, C = restrict_to_line(conic.form, p0, p1)
     disc = B * B - 4 * A * C
 
-    def point_at(s: int, t: int) -> ProjPoint:
-        return ProjPoint(*(s * a + t * b for a, b in zip(p0, p1)))
+    def point_at(s: int, t: int) -> Coords:
+        return primitive(s * a + t * b for a, b in zip(p0, p1))
 
     if disc == 0:
         if A == 0:
             # restriction is C t^2 with C != 0: double root at t = 0
-            return Tangent(ProjPoint(*p0))
+            return Tangent(p0)
         return Tangent(point_at(-B, 2 * A))
     if disc > 0 and math.isqrt(disc) ** 2 == disc:
         root = math.isqrt(disc)
@@ -180,8 +183,13 @@ class SingularPoint:
 
     def mapped_key(self, mapping: dict[str, str]) -> tuple:
         """Coordinate-free image of the point under a relabelling."""
-        mults = sorted((tuple(sorted((mapping[x], mapping[y]))), m) for (x, y), m in self.pair_mults)
-        return (self.local_type.key, tuple(sorted(mapping[l] for l in self.branches)), tuple(mults))
+        mults = []
+        for (x, y), m in self.pair_mults:
+            x, y = mapping[x], mapping[y]
+            mults.append(((x, y) if x <= y else (y, x), m))
+        mults.sort()
+        branches = tuple(sorted([mapping[l] for l in self.branches]))
+        return (self.local_type.key, branches, tuple(mults))
 
     def restrict(self, keep: frozenset[str]) -> SingularPoint | None:
         """The same point on the sub-arrangement `keep`; None if it is smooth there."""
@@ -202,12 +210,13 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     """All singular points, rational ones merged by canonical coordinates.
 
     Rational points come first, in lexicographic order of their canonical
-    coordinate triples; conjugate-pair records follow, ordered by labels.
+    coordinate triples, one `ProjPoint` each; conjugate-pair records
+    follow, ordered by labels.
     """
-    by_point: dict[ProjPoint, dict[tuple[str, str], int]] = {}
+    by_point: dict[Coords, dict[tuple[str, str], int]] = {}
     conjugates: list[ConjugatePair] = []
 
-    def record(p: ProjPoint, la: str, lb: str, mult: int):
+    def record(p: Coords, la: str, lb: str, mult: int):
         key = (la, lb) if la <= lb else (lb, la)
         by_point.setdefault(p, {})[key] = mult
 
@@ -227,12 +236,12 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
 
     points: list[SingularPoint] = []
     for p in sorted(by_point):
-        pt = _point(p, by_point[p])
+        pt = _point(ProjPoint(*p), by_point[p])
         # two components through the same rational point always have their
         # intersection recorded there, so the pair table is complete
         for x, y in itertools.combinations(sorted(pt.branches), 2):
             if (x, y) not in by_point[p]:
-                raise AssertionError(f"missing pair multiplicity for {x}, {y} at {p}")
+                raise AssertionError(f"missing pair multiplicity for {x}, {y} at {pt.location}")
         points.append(pt)
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
         points.append(_point(cj, {tuple(sorted((cj.line, cj.conic))): 1}, point_count=2))
@@ -257,6 +266,25 @@ def bezout_check(a: Arrangement, points: tuple[SingularPoint, ...]) -> bool:
     )
 
 
+class PointFacts(NamedTuple):
+    """A point record with its entries in the facts `Combinatorics` caches."""
+
+    record: SingularPoint
+    fingerprint: tuple[tuple[str, tuple], ...]  # (label, entry) per branch
+    profile: tuple[tuple[tuple[str, str], tuple], ...]  # (pair, entry) per pair
+    key: tuple  # the entry in `record_keys`
+
+
+def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
+    key = rec.local_type.key
+    fingerprint = tuple(
+        (l, (key, tuple(sorted(degree[o] for o in rec.branches if o != l))))
+        for l in rec.branches
+    )
+    profile = tuple((pair, (key, m, len(rec.branches))) for pair, m in rec.pair_mults)
+    return PointFacts(rec, fingerprint, profile, (key, tuple(sorted(rec.branches)), rec.pair_mults))
+
+
 @dataclass(frozen=True)
 class Combinatorics:
     """Incidence structure of an arrangement: component degrees and singular points.
@@ -267,10 +295,20 @@ class Combinatorics:
     projectively equivalent arrangements give structures equal up to a
     bijection of labels, which `equivalences` searches for.  A
     sub-arrangement's structure is the restriction of the whole one.
+
+    `facts` holds each point's `PointFacts`, computed from the points when
+    not given; equality ignores it.  `fingerprints`, `pair_profiles` and
+    `record_keys` are sorts of those entries.
     """
 
     degrees: tuple[tuple[str, int], ...]
     points: tuple[SingularPoint, ...]
+    facts: tuple[PointFacts, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.facts is None:
+            degree = dict(self.degrees)
+            object.__setattr__(self, "facts", tuple(_point_facts(pt, degree) for pt in self.points))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -283,36 +321,55 @@ class Combinatorics:
         Computed once per structure, like the facts below.  Invariant under
         every equivalence: a report item and the search's first pruning.
         """
-        degree = dict(self.degrees)
-        entries: dict[str, list] = {l: [] for l in degree}
-        for rec in self.points:
-            for l in rec.branches:
-                others = tuple(sorted(degree[o] for o in rec.branches if o != l))
-                entries[l].append((rec.local_type.key, others))
-        return {l: (d, tuple(sorted(entries[l]))) for l, d in degree.items()}
+        entries: dict[str, list] = {l: [] for l, _ in self.degrees}
+        for f in self.facts:
+            for l, entry in f.fingerprint:
+                entries[l].append(entry)
+        return {l: (d, tuple(sorted(entries[l]))) for l, d in self.degrees}
 
     @cached_property
     def pair_profiles(self) -> dict[tuple[str, str], tuple]:
         """Per sorted label pair: (local type, multiplicity, branch count) of each common point."""
         profiles: dict[tuple[str, str], list] = {}
-        for rec in self.points:
-            for pair, m in rec.pair_mults:
-                profiles.setdefault(pair, []).append((rec.local_type.key, m, len(rec.branches)))
+        for f in self.facts:
+            for pair, entry in f.profile:
+                profiles.setdefault(pair, []).append(entry)
         return {k: tuple(sorted(v)) for k, v in profiles.items()}
 
     @cached_property
     def record_keys(self) -> tuple:
         """`_record_multiset` of the identity labelling: the target of the leaf checks."""
-        keys = ((r.local_type.key, tuple(sorted(r.branches)), r.pair_mults) for r in self.points)
-        return tuple(sorted(keys))
+        return tuple(sorted(f.key for f in self.facts))
+
+    @cached_property
+    def _restrictions(self) -> dict[tuple[int, frozenset[str]], PointFacts]:
+        """(point index, kept branches) -> the facts of the restricted point."""
+        return {}
 
     def restrict(self, labels: Iterable[str]) -> Combinatorics:
-        """The incidence structure of the sub-arrangement with the given components."""
+        """The incidence structure of the sub-arrangement with the given components.
+
+        Each distinct (point, kept branches) is restricted once per
+        structure, with its facts, however many sub-arrangements keep it.
+        """
         keep = frozenset(labels)
-        restricted = (pt.restrict(keep) for pt in self.points)
+        memo = self._restrictions
+        facts = []
+        for i, pt in enumerate(self.points):
+            if pt.branches <= keep:
+                facts.append(self.facts[i])
+                continue
+            kept = pt.branches & keep
+            if len(kept) < 2:  # smooth on the sub-arrangement
+                continue
+            f = memo.get((i, kept))
+            if f is None:
+                f = memo[i, kept] = _point_facts(pt.restrict(kept), dict(self.degrees))
+            facts.append(f)
         return Combinatorics(
             tuple((l, d) for l, d in self.degrees if l in keep),
-            tuple(pt for pt in restricted if pt is not None),
+            tuple(f.record for f in facts),
+            tuple(facts),
         )
 
 

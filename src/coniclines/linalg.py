@@ -30,9 +30,9 @@ def primitive(vec: Iterable[int]) -> QVector:
     g = math.gcd(*ints)
     if g == 0:
         return ints
-    if next(v for v in ints if v != 0) < 0:
+    if next(filter(None, ints)) < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return ints if g == 1 else tuple([v // g for v in ints])
 
 
 @dataclass(frozen=True)

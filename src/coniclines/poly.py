@@ -39,6 +39,25 @@ def monomial_count(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
+def digits(n: int) -> str:
+    """The decimal string of n, also past `sys.get_int_max_str_digits()` (Python 3.11+).
+
+    The limit is process-wide, so it is left alone: a longer int is
+    converted in 500-digit chunks, under the lowest limit allowed (640).
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n:
+        n, chunk = divmod(n, 10**500)
+        chunks.append(chunk)
+    head, *rest = reversed(chunks)
+    return sign + str(head) + "".join(f"{chunk:0500d}" for chunk in rest)
+
+
 class ProjPoint:
     """A point of the rational projective plane in canonical form.
 
@@ -64,7 +83,7 @@ class ProjPoint:
         return self.coords < other.coords
 
     def __repr__(self):
-        return f"[{self.coords[0]} : {self.coords[1]} : {self.coords[2]}]"
+        return f"[{' : '.join(digits(c) for c in self.coords)}]"
 
 
 class HomPoly:
@@ -105,14 +124,6 @@ class HomPoly:
     def coefficient(self, expo: tuple[int, int, int]):
         return self.coeffs[_monomial_index(self.degree)[expo]]
 
-    def evaluate_triple(self, coords):
-        """Value at a raw coordinate triple, without projective normalization."""
-        px, py, pz = coords
-        total = 0
-        for (a, b, c), coeff in self.terms():
-            total += coeff * (px**a) * (py**b) * (pz**c)
-        return total
-
     def mul_monomial(self, expo: tuple[int, int, int]) -> "HomPoly":
         a, b, c = expo
         deg = self.degree + a + b + c
@@ -149,11 +160,11 @@ class HomPoly:
             )
             mag = abs(coeff)
             if not mono:
-                body = str(mag)
+                body = digits(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{digits(mag)}*{mono}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -171,10 +182,18 @@ def cross(u, w) -> tuple:
 
 
 def restrict_to_line(q: HomPoly, u, w) -> tuple:
-    """(A, B, C) with q(s*u + t*w) = A s^2 + B s t + C t^2; B is the polar value of u and w."""
-    a = q.evaluate_triple(u)
-    c = q.evaluate_triple(w)
-    return a, q.evaluate_triple(tuple(x + y for x, y in zip(u, w))) - a - c, c
+    """(A, B, C) with q(s*u + t*w) = A s^2 + B s t + C t^2 for a conic q; B is the polar value."""
+    a, b, c, d, e, f = q.coeffs  # x^2, xy, xz, y^2, yz, z^2
+    (u0, u1, u2), (w0, w1, w2) = u, w
+    A = a * u0 * u0 + b * u0 * u1 + c * u0 * u2 + d * u1 * u1 + e * u1 * u2 + f * u2 * u2
+    C = a * w0 * w0 + b * w0 * w1 + c * w0 * w2 + d * w1 * w1 + e * w1 * w2 + f * w2 * w2
+    B = (
+        2 * (a * u0 * w0 + d * u1 * w1 + f * u2 * w2)
+        + b * (u0 * w1 + u1 * w0)
+        + c * (u0 * w2 + u2 * w0)
+        + e * (u1 * w2 + u2 * w1)
+    )
+    return A, B, C
 
 
 def monomial_row(n: int, p: ProjPoint) -> QVector:

@@ -9,9 +9,18 @@ import sympy as sp
 
 from coniclines import parse
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form
-from coniclines.incidence import Combinatorics, Equivalences, combinatorics, equivalences
+from coniclines.incidence import (
+    Combinatorics,
+    ConjugatePair,
+    Equivalences,
+    SingularPoint,
+    classify,
+    combinatorics,
+    equivalences,
+)
+from coniclines.linalg import QMatrix, kernel_basis
 from coniclines.moduli import OrderingCertificate, _tangent_lines, connectivity_certificate, n_value
-from coniclines.poly import HomPoly, monomials
+from coniclines.poly import HomPoly, ProjPoint, cross, monomials
 
 from .oracles import X, Y, Z, to_sympy
 
@@ -23,6 +32,16 @@ PAIR_FILES = {
     "pair2_B1": DATA / "pair2_B1.txt",
     "pair2_B2": DATA / "pair2_B2.txt",
 }
+
+
+# a conic with the lines x = 0..3, y = 0..3 and x + y = 1..4: 39 singular
+# points, 8,190 proper sub-curves, some with no build order
+GRID = (
+    "conic C : 1 1 -1000 0 0 0\n"
+    + "".join(f"line X{i} : 1 0 {-i}\n" for i in range(4))
+    + "".join(f"line Y{i} : 0 1 {-i}\n" for i in range(4))
+    + "".join(f"line S{s} : 1 1 {-s}\n" for s in range(1, 5))
+)
 
 
 def cleared(vec) -> tuple[int, ...]:
@@ -44,6 +63,67 @@ def sub_arrangement(a: Arrangement, labels) -> Arrangement:
     """
     wanted = set(labels)
     return Arrangement(tuple(c for c in a.components if c.label in wanted), {})
+
+
+def reference_singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
+    """`singular_points` built pair by pair, apart from the package's intersection code.
+
+    The reference that `singular_points` is compared against: a `ProjPoint`
+    per intersection, merged by `ProjPoint` equality; a line meets the conic
+    along the kernel basis of its row, and the conic is restricted to it by
+    evaluating q(u), q(w) and q(u + w) term by term.
+    """
+    by_point: dict[ProjPoint, dict[tuple[str, str], int]] = {}
+    conjugates = []
+    for c1, c2 in itertools.combinations(a.components, 2):
+        pair = tuple(sorted((c1.label, c2.label)))
+        if c1.kind == c2.kind == "line":
+            by_point.setdefault(ProjPoint(*cross(c1.form.coeffs, c2.form.coeffs)), {})[pair] = 1
+            continue
+        line, conic = (c1, c2) if c1.kind == "line" else (c2, c1)
+        q = conic.form
+        u, w = kernel_basis(QMatrix.from_rows([line.form.coeffs], cols=3)).vectors
+        A, C = value_at(q, u), value_at(q, w)
+        B = value_at(q, tuple(x + y for x, y in zip(u, w))) - A - C
+        disc = B * B - 4 * A * C
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            conjugates.append(ConjugatePair(disc, line.label, conic.label))
+            continue
+        # the roots (s : t) of A s^2 + B s t + C t^2
+        roots = {(1, 0), (-C, B)} if A == 0 else {(-B + root, 2 * A), (-B - root, 2 * A)}
+        points = {ProjPoint(*(s * x + t * y for x, y in zip(u, w))) for s, t in roots}
+        for p in points:
+            by_point.setdefault(p, {})[pair] = 2 if disc == 0 else 1
+    records = []
+    for p in sorted(by_point):
+        mults = by_point[p]
+        branches = frozenset(l for pair in mults for l in pair)
+        local_type = classify(len(branches), tuple(sorted(mults.values())))
+        records.append(SingularPoint(p, branches, tuple(sorted(mults.items())), local_type))
+    for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
+        pair = tuple(sorted((cj.line, cj.conic)))
+        records.append(SingularPoint(cj, frozenset(pair), ((pair, 1),), classify(2, (1,)), 2))
+    return tuple(records)
+
+
+def scratch_facts(c: Combinatorics) -> tuple:
+    """(fingerprints, pair_profiles, record_keys) of c, computed from its points alone."""
+    degree = dict(c.degrees)
+    entries: dict[str, list] = {l: [] for l in degree}
+    profiles: dict[tuple[str, str], list] = {}
+    for rec in c.points:
+        for l in rec.branches:
+            others = tuple(sorted(degree[o] for o in rec.branches if o != l))
+            entries[l].append((rec.local_type.key, others))
+        for pair, m in rec.pair_mults:
+            profiles.setdefault(pair, []).append((rec.local_type.key, m, len(rec.branches)))
+    keys = sorted((r.local_type.key, tuple(sorted(r.branches)), r.pair_mults) for r in c.points)
+    return (
+        {l: (d, tuple(sorted(entries[l]))) for l, d in degree.items()},
+        {k: tuple(sorted(v)) for k, v in profiles.items()},
+        tuple(keys),
+    )
 
 
 def every_subset_classes(a: Arrangement) -> list[tuple]:
@@ -142,6 +222,26 @@ def random_invertible_matrix(rng: random.Random) -> tuple[tuple[int, ...], ...]:
         )
         if det != 0:
             return m
+
+
+def long_int(text: str) -> int:
+    """A decimal string of any length as an int, read 600 digits at a time.
+
+    Python 3.11+ refuses `int()` on more than `sys.get_int_max_str_digits()`
+    digits; each 600-digit piece is under the lowest limit Python allows (640).
+    """
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(text), 600):
+        piece = text[i : i + 600]
+        n = n * 10 ** len(piece) + int(piece)
+    return sign * n
+
+
+def value_at(form: HomPoly, coords) -> int:
+    """The value of a form at a raw coordinate triple, summed term by term."""
+    x, y, z = coords
+    return sum(k * x**a * y**b * z**c for (a, b, c), k in zip(monomials(form.degree), form.coeffs))
 
 
 def from_sympy(expr, degree: int) -> HomPoly:

@@ -19,7 +19,7 @@ from coniclines.arrangement import (
 )
 from coniclines.poly import HomPoly
 
-from .conftest import random_arrangement
+from .conftest import generic_lines, random_arrangement
 
 PAIR1_TEXT = """
 conic C : 1 1 1 -2 -2 -2
@@ -124,6 +124,23 @@ def test_validation_error_names_the_offending_declaration(text, line, message):
         parse(text)
     assert err.value.line == line
     assert str(err.value).endswith(f": {message}")
+
+
+def test_parse_compares_forms_once(monkeypatch):
+    # one pass against a dict of the forms seen so far; checking each
+    # declaration against every one above it, in `parse` and again in
+    # `Arrangement`, made 2 * 60 * 59 / 2 = 3,540 comparisons
+    calls = []
+    eq = HomPoly.__eq__
+
+    def counting_eq(self, other):
+        calls.append(None)
+        return eq(self, other)
+
+    monkeypatch.setattr(HomPoly, "__eq__", counting_eq)
+    a = parse(generic_lines(60))
+    assert len(a.components) == 60
+    assert len(calls) <= 60
 
 
 def test_syntax_error_reports_position():

@@ -11,9 +11,11 @@ import pytest
 
 from coniclines import cli, splitting
 from coniclines.cli import build_parser, main
-from coniclines.incidence import Equivalences
+from coniclines.arrangement import parse
+from coniclines.incidence import Equivalences, intersect_line_conic
+from coniclines.poly import ProjPoint, cross
 
-from .conftest import PAIR_FILES, generic_lines
+from .conftest import PAIR_FILES, generic_lines, long_int
 
 P1B1 = str(PAIR_FILES["pair1_B1"])
 P1B2 = str(PAIR_FILES["pair1_B2"])
@@ -120,6 +122,40 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     # the message keeps its newline escaped, and the line names where it was raised
     pattern = r"internal error: RuntimeError\('no witness\\nfound'\) at test_cli\.py:\d+\n"
     assert re.fullmatch(pattern, err)
+
+
+# 3000 digits each, under the interpreter's default limit of 4300 for int <-> str
+LONG_A, LONG_B = 10**2999 + 7, 3 * 10**2999 - 11
+
+
+def test_analyze_prints_a_point_past_the_digit_limit(capsys, tmp_path):
+    # the node of two lines with 3000-digit coefficients has a coordinate
+    # of about 6000 digits
+    f = tmp_path / "long.txt"
+    f.write_text(f"line L1 : {LONG_A} {LONG_B} 1\nline L2 : {LONG_B} {-LONG_A} 1\n")
+    code, out, err = run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    point = re.search(r"\{L1, L2\} at \[(\S+) : (\S+) : (\S+)\]", out).groups()
+    assert len(point[2]) > 4300
+    expected = ProjPoint(*cross((LONG_A, LONG_B, 1), (LONG_B, -LONG_A, 1))).coords
+    assert tuple(map(long_int, point)) == expected
+    assert "bezout check: OK" in out
+
+
+def test_analyze_prints_a_form_and_a_discriminant_past_the_digit_limit(capsys, tmp_path):
+    # clearing the denominators gives z a coefficient of about 6000 digits
+    f = tmp_path / "long.txt"
+    f.write_text(f"conic C : 1 1 -1 0 0 0\nline L : 1/{LONG_A} 1/{LONG_B} 1\n")
+    code, out, err = run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    a = parse(f.read_text())
+    form = re.search(r"L: line  (\d+)\*x \+ (\d+)\*y \+ (\d+)\*z$", out, re.M).groups()
+    assert tuple(map(long_int, form)) == a.component("L").form.coeffs == (
+        LONG_B, LONG_A, LONG_A * LONG_B
+    )
+    disc = re.search(r"conjugate pair, discriminant (-?\d+)$", out, re.M)[1]
+    assert len(disc) > 4300
+    assert long_int(disc) == intersect_line_conic(a.component("L"), a.conic).discriminant
 
 
 def test_analyze_missing_file_exit_1(capsys):

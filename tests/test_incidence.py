@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coniclines import incidence
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form, parse
 from coniclines.incidence import (
+    Combinatorics,
     ConjugatePair,
     Tangent,
     TwoRational,
@@ -28,6 +29,7 @@ from coniclines.linalg import QMatrix, kernel_basis
 from coniclines.poly import ProjPoint
 
 from .conftest import (
+    GRID,
     PAIR_FILES,
     cleared,
     every_bijection,
@@ -36,7 +38,9 @@ from .conftest import (
     load,
     random_arrangement,
     random_invertible_matrix,
+    reference_singular_points,
     relabelled_image,
+    scratch_facts,
     sub_arrangement,
     symmetric_arrangement,
     transform_arrangement,
@@ -79,16 +83,16 @@ PAIR2_TACNODES = {frozenset(("L2", "C")), frozenset(("L3", "C"))}
 
 
 def test_intersect_coordinate_lines():
-    assert intersect_lines(L1, L2) == ProjPoint(0, 0, 1)
+    assert intersect_lines(L1, L2) == (0, 0, 1)
 
 
 def test_intersect_lines_triple_point_location():
     # {L1, L4, L5} is a triple point of pair 1
-    assert intersect_lines(L1, L4) == ProjPoint(0, -5, 1)
+    assert intersect_lines(L1, L4) == (0, 5, -1)  # [0 : -5 : 1]
 
 
 def test_intersect_lines_substitution_case():
-    assert intersect_lines(L1, L3) == ProjPoint(0, 5, 1)
+    assert intersect_lines(L1, L3) == (0, 5, 1)
 
 
 def test_intersect_proportional_lines_rejected():
@@ -99,13 +103,13 @@ def test_intersect_proportional_lines_rejected():
 def test_line_conic_tangent():
     out = intersect_line_conic(L1, CONIC)
     assert isinstance(out, Tangent)
-    assert out.point == ProjPoint(0, 1, 1)
+    assert out.point == (0, 1, 1)
 
 
 def test_line_conic_two_rational():
     out = intersect_line_conic(L3, CONIC)
     assert isinstance(out, TwoRational)
-    assert {out.p1, out.p2} == {ProjPoint(4, 1, 1), ProjPoint(1, 4, 1)}
+    assert (out.p1, out.p2) == ((1, 4, 1), (4, 1, 1))
 
 
 def test_line_conic_conjugate_pair():
@@ -214,11 +218,11 @@ def test_intersections_match_sympy_oracle():
                 assert isinstance(out, ConjugatePair)
             elif len(points) == 1:
                 assert isinstance(out, Tangent)
-                assert out.point == ProjPoint(*cleared(Fraction(str(c)) for c in points[0]))
+                assert out.point == ProjPoint(*cleared(Fraction(str(c)) for c in points[0])).coords
             else:
                 assert isinstance(out, TwoRational)
                 got = {out.p1, out.p2}
-                want = {ProjPoint(*cleared(Fraction(str(c)) for c in p)) for p in points}
+                want = {ProjPoint(*cleared(Fraction(str(c)) for c in p)).coords for p in points}
                 assert got == want
 
 
@@ -462,3 +466,54 @@ def test_restriction_matches_recomputation_on_random_arrangements(seed):
     for r in range(len(a.labels) + 1):
         for subset in itertools.combinations(a.labels, r):
             _check_restriction(a, points, c, subset)
+
+
+def arrangements():
+    """Bundled files, symmetric and random arrangements, and grid sub-curves."""
+    seeds = st.integers(0, 2**32 - 1)
+    grid = parse(GRID)
+    return st.one_of(
+        st.sampled_from(sorted(PAIR_FILES)).map(load),
+        seeds.map(lambda seed: symmetric_arrangement(random.Random(seed))),
+        seeds.map(lambda seed: random_arrangement(random.Random(seed), max_lines=6)),
+        st.sets(st.sampled_from(grid.labels), min_size=2).map(
+            lambda labels: sub_arrangement(grid, labels)
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrangements())
+def test_singular_points_match_the_pairwise_reference(a):
+    assert singular_points(a) == reference_singular_points(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_memoised_restriction_matches_recomputation(data):
+    # several restrictions of one structure, so that later ones reuse the
+    # memoised points of earlier ones
+    a = data.draw(arrangements())
+    full = combinatorics(a)
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(a.labels)), min_size=1, max_size=12))
+    for subset in subsets:
+        c = full.restrict(subset)
+        assert c == combinatorics(sub_arrangement(a, subset))
+        fresh = Combinatorics(c.degrees, c.points)
+        facts = scratch_facts(fresh)
+        assert (fresh.fingerprints, fresh.pair_profiles, fresh.record_keys) == facts
+        assert (c.fingerprints, c.pair_profiles, c.record_keys) == facts
+
+
+def test_restriction_builds_each_point_once():
+    # a triple point restricted to each of its three pairs of branches,
+    # however many sub-curves keep that pair
+    c = combinatorics(load("pair1_B1"))
+    restricted = [c.restrict(s) for s in itertools.combinations(c.labels, 5)]
+    partial = {
+        id(rec)
+        for sub in restricted
+        for rec in sub.points
+        if not any(rec is pt for pt in c.points)
+    }
+    assert len(partial) == 7 * 3

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, parse
 from coniclines import moduli
-from coniclines.incidence import Combinatorics, Equivalences, combinatorics
+from coniclines.incidence import Combinatorics, Equivalences, SingularPoint, combinatorics
 from coniclines.moduli import (
     AXIOM_LINES,
     connectivity_certificate,
@@ -22,6 +22,7 @@ from coniclines.moduli import (
 )
 
 from .conftest import (
+    GRID,
     PAIR_FILES,
     backtracking_certificate,
     every_subset_classes,
@@ -162,13 +163,6 @@ def test_peeling_decides_every_sub_combinatorics(seed):
     for sub in every_sub_combinatorics(combinatorics(symmetric_arrangement(random.Random(seed)))):
         assert_peeling_agrees_with_backtracking(sub)
 
-
-GRID = (
-    "conic C : 1 1 -1000 0 0 0\n"
-    + "".join(f"line X{i} : 1 0 {-i}\n" for i in range(4))
-    + "".join(f"line Y{i} : 0 1 {-i}\n" for i in range(4))
-    + "".join(f"line S{s} : 1 1 {-s}\n" for s in range(1, 5))
-)
 
 GRID_COMBINATORICS = comb_of(GRID)
 
@@ -344,6 +338,26 @@ def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, mon
     monkeypatch.setattr(moduli, "equivalences", counting_equivalences)
     minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
     assert counts == {"restrict": orbits + 8 - 5, "equivalences": 1 + lookups}
+
+
+@pytest.mark.parametrize("name, records", [("pair1", 21), ("pair2", 21), ("grid", 66)])
+def test_minimality_builds_each_restricted_point_once(name, records, monkeypatch):
+    # a new point record per distinct (point, kept branches), memoised on the
+    # full structure: each triple point once per pair of its branches.
+    # Restricting every point anew built 298, 317 and 10,364 records
+    built = []
+    restrict = SingularPoint.restrict
+
+    def counting_restrict(self, keep):
+        rec = restrict(self, keep)
+        if rec is not None and rec is not self:
+            built.append(rec)
+        return rec
+
+    a1, a2 = (parse(GRID),) * 2 if name == "grid" else (load(f"{name}_B1"), load(f"{name}_B2"))
+    monkeypatch.setattr(SingularPoint, "restrict", counting_restrict)
+    minimality_check(a1, a2)
+    assert len(built) == records
 
 
 @pytest.mark.parametrize("name", ["pair1", "pair2"])

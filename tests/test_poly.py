@@ -1,5 +1,7 @@
 """Homogeneous polynomials: monomial order, evaluation, monomial rows, products by forms."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,14 @@ from coniclines.linalg import QMatrix, rank
 from coniclines.poly import (
     HomPoly,
     ProjPoint,
+    digits,
     monomial_count,
     monomial_row,
     monomials,
     multiplication_image,
 )
 
+from .conftest import long_int, value_at
 from .oracles import sympy_divides
 
 X = HomPoly(1, (1, 0, 0))
@@ -70,12 +74,12 @@ def test_normalize_twice_is_idempotent():
 
 
 def test_conic_vanishes_at_tangency_point():
-    assert PAPER_CONIC.evaluate_triple((0, 1, 1)) == 0
+    assert value_at(PAPER_CONIC, (0, 1, 1)) == 0
 
 
 def test_variable_evaluation():
-    assert X.evaluate_triple((0, 1, 1)) == 0
-    assert PAPER_CONIC.evaluate_triple((1, 0, 0)) == 1
+    assert value_at(X, (0, 1, 1)) == 0
+    assert value_at(PAPER_CONIC, (1, 0, 0)) == 1
 
 
 def test_monomial_row_degree_one():
@@ -105,7 +109,7 @@ def test_monomial_row_rejects_degree_zero():
 @settings(max_examples=100, deadline=None)
 def test_monomial_row_matches_evaluation(f, p):
     row = monomial_row(3, p)
-    assert sum(a * b for a, b in zip(row, f.coeffs)) == f.evaluate_triple(p.coords)
+    assert sum(a * b for a, b in zip(row, f.coeffs)) == value_at(f, p.coords)
 
 
 def test_multiplication_image_dimensions():
@@ -129,6 +133,14 @@ def test_multiplication_image_rank_equals_predicted():
     image = multiplication_image(PAPER_CONIC, 4)
     m = QMatrix.from_rows(image.vectors, cols=monomial_count(4))
     assert rank(m) == monomial_count(2)
+
+
+def test_digits_reads_back_past_the_digit_limit():
+    # 500-digit chunks: a zero chunk between others must keep its zeros
+    for n in (0, 7, -7, 10**500, -(10**5000) + 1, 10**1500 * (10**3600 + 1), 3**20000):
+        text = digits(n)
+        assert long_int(text) == n
+        assert re.fullmatch(r"0|-?[1-9][0-9]*", text)
 
 
 def test_str_rendering():

@@ -24,7 +24,7 @@ from coniclines.render import (
     render_svg,
 )
 
-from .conftest import PAIR_FILES, cleared
+from .conftest import PAIR_FILES, cleared, value_at
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -72,7 +72,7 @@ def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
 
     def polar(u, v):
         both = tuple(a + b for a, b in zip(u, v))
-        return q.evaluate_triple(both) - q.evaluate_triple(u) - q.evaluate_triple(v)
+        return value_at(q, both) - value_at(q, u) - value_at(q, v)
 
     params = []
     for k in range(1, count):
@@ -84,7 +84,7 @@ def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
         d = tuple(s * a + t * b for a, b in zip(d1.coords, d2.coords))
         if not any(d):
             continue
-        qd = q.evaluate_triple(d)
+        qd = value_at(q, d)
         pol = polar(p0.coords, d)
         coords = tuple(qd * a - pol * b for a, b in zip(p0.coords, d))
         if any(coords):
@@ -103,7 +103,7 @@ def test_chart_form_at_chart_point_is_the_form_at_the_point(chart, degree, data,
     f = HomPoly(degree, data.draw(st.lists(SMALL, min_size=n, max_size=n)))
     order = CHART_ORDER[chart]
     moved = tuple(coords[i] for i in order)
-    assert _chart_form(order, f).evaluate_triple(moved) == f.evaluate_triple(coords)
+    assert value_at(_chart_form(order, f), moved) == value_at(f, coords)
 
 
 @pytest.mark.parametrize("chart", sorted(CHART_ORDER))
@@ -143,11 +143,11 @@ def test_integer_sweep_equals_fraction_sweep(point, coeffs, count):
     assume(any(values))
     q = conic_form(values)
     assume(conic_matrix_determinant(q) != 0)
-    assert q.evaluate_triple(p0.coords) == 0
+    assert value_at(q, p0.coords) == 0
     samples = _conic_samples(q, p0.coords, count)
     assert [ProjPoint(*p) for p in samples] == fraction_samples(q, p0, count)
     assert len(samples) == count
-    assert all(q.evaluate_triple(p) == 0 for p in samples)
+    assert all(value_at(q, p) == 0 for p in samples)
 
 
 def _component_paths(svg: str) -> list[str]:
@@ -211,7 +211,7 @@ def test_real_point_is_none_exactly_for_a_definite_conic(coeffs):
     if p is None:
         return
     assert any(p)
-    value = q.evaluate_triple(p)
+    value = value_at(q, p)
     if all(isinstance(v, int) for v in p):
         assert value == 0
     else:

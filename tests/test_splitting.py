@@ -28,6 +28,7 @@ from .conftest import (
     random_invertible_matrix,
     relabelled_image,
     transform_arrangement,
+    value_at,
 )
 from .oracles import sympy_divides, to_sympy
 
@@ -172,7 +173,7 @@ def test_kernel_vectors_vanish_at_all_points():
         system = through_points(3, report.intersection_points)
         for f in (HomPoly(system.degree, v) for v in system.kernel.vectors):
             for p in report.intersection_points:
-                assert f.evaluate_triple(p.coords) == 0
+                assert value_at(f, p.coords) == 0
 
 
 def test_through_points_rejects_duplicates():
@@ -210,7 +211,7 @@ def test_witness_properties_pair1():
     assert witness is not None
     report = check_hypotheses(b, c, singular_points(b.arrangement))
     for p in report.intersection_points:
-        assert witness.evaluate_triple(p.coords) == 0
+        assert value_at(witness, p.coords) == 0
     for comp in c.components:
         assert not sympy_divides(witness, comp.form)
 
