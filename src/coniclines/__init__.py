@@ -5,7 +5,15 @@ through prescribed points, connected numbers of double covers, candidate
 Zariski-pair certificates, and realization-space minimality reports.
 """
 
-from .arrangement import Arrangement, Component, ParseError, SubCurve, parse, serialize
+from .arrangement import (
+    Arrangement,
+    Component,
+    HypothesisError,
+    ParseError,
+    SubCurve,
+    parse,
+    serialize,
+)
 from .incidence import (
     Combinatorics,
     ConjugatePair,
@@ -29,8 +37,6 @@ from .moduli import (
 )
 from .poly import HomPoly, ProjPoint, monomial_row, monomials, multiplication_image
 from .splitting import (
-    LinearSystem,
-    SplitHypothesisError,
     SplitHypothesisReport,
     ZariskiCertificate,
     check_hypotheses,
@@ -47,7 +53,7 @@ __all__ = [
     "ConjugatePair",
     "Equivalences",
     "HomPoly",
-    "LinearSystem",
+    "HypothesisError",
     "MinimalityReport",
     "OrderingCertificate",
     "ParseError",
@@ -55,7 +61,6 @@ __all__ = [
     "QMatrix",
     "QVectorBasis",
     "SingularPoint",
-    "SplitHypothesisError",
     "SplitHypothesisReport",
     "SubCurve",
     "Tangent",

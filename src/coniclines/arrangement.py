@@ -29,6 +29,7 @@ LINE_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 CONIC_EXPONENTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 class ComponentError(ValueError):
@@ -37,6 +38,10 @@ class ComponentError(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index  # of the component in `Arrangement.components`
+
+
+class HypothesisError(ValueError):
+    """An input violates a hypothesis of the computation asked for (CLI exit 2)."""
 
 
 class ParseError(ValueError):
@@ -54,7 +59,7 @@ def parse_rational(token: str) -> tuple[int, int]:
     A decimal point or an exponent is refused before any arithmetic, and
     an integer past the interpreter's digit limit for `int()` by that limit.
     """
-    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", token)
+    m = RATIONAL_RE.fullmatch(token)
     if m is None:
         raise ValueError(f"expected integer or fraction, got {token!r}")
     try:
@@ -167,7 +172,7 @@ class Arrangement:
 
     def subcurve(self, name: str) -> "SubCurve":
         if name not in self.subcurves:
-            raise KeyError(f"arrangement declares no sub-curve named {name!r}")
+            raise ValueError(f"arrangement declares no sub-curve named {name!r}")
         return SubCurve(self, self.subcurves[name])
 
 

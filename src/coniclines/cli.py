@@ -2,6 +2,7 @@
 
 Exit codes are a stable contract: 0 success (and CandidatePair), 1 input
 error, 2 hypothesis violation, 3 inconclusive result, 4 internal error.
+Commands raise; only `main` maps an exception to its exit code.
 All output is deterministic, so every command is golden-file testable.
 `main` can be called repeatedly in one process: the parser is built on the
 first call, and commands are dispatched by name (`cmd_<command>`) at call time.
@@ -19,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from .arrangement import Arrangement, parse, parse_rational
+from .arrangement import Arrangement, HypothesisError, parse, parse_rational
 from .incidence import (
     ConjugatePair,
     LocalType,
@@ -31,12 +32,7 @@ from .incidence import (
 from .moduli import minimality_check, minimality_report_text
 from .poly import digits
 from .render import RenderConfig, render_svg
-from .splitting import (
-    SplitHypothesisError,
-    analyze_split,
-    certificate_report,
-    zariski_certificate,
-)
+from .splitting import analyze_split, certificate_report, zariski_certificate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -165,36 +161,25 @@ def cmd_compare(args) -> int:
 
 def cmd_split(args) -> int:
     a = _load(args.file)
-    try:
-        b = a.subcurve(args.branch)
-        c = a.subcurve(args.curve)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        analysis = analyze_split(b, c)
-    except SplitHypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    analysis = analyze_split(a.subcurve(args.branch), a.subcurve(args.curve))
+    # analyze_split raises unless every hypothesis holds
     out = [
         f"split of {args.file}",
         f"  B = {_branch_set(analysis.b_labels)}  (degree {analysis.b_degree})",
         f"  C = {_branch_set(analysis.c_labels)}  (degree {analysis.c_degree})",
         "hypotheses:",
-        f"  B has even degree: {'yes' if analysis.report.b_even_degree else 'no'}",
-        f"  C is nodal with smooth components: {'yes' if analysis.report.c_nodal_smooth else 'no'}",
-        "  B meets C outside the nodes of C: "
-        + ("yes" if analysis.report.bc_disjoint_from_nodes_of_c else "no"),
-        "  every local intersection multiplicity of B and C is 2: "
-        + ("yes" if analysis.report.all_local_mults_two else "no"),
+        "  B has even degree: yes",
+        "  C is nodal with smooth components: yes",
+        "  B meets C outside the nodes of C: yes",
+        "  every local intersection multiplicity of B and C is 2: yes",
         f"intersection points ({len(analysis.report.intersection_points)}):",
     ]
     for p in analysis.report.intersection_points:
         out.append(f"  {p}")
     out.append(
-        f"curves of degree {analysis.system.degree} through all of them: "
-        f"vector dimension {analysis.system.kernel.dim}, "
-        f"projective dimension {analysis.system.projective_dimension}"
+        f"curves of degree {analysis.b_degree // 2} through all of them: "
+        f"vector dimension {analysis.kernel.dim}, "
+        f"projective dimension {analysis.kernel.dim - 1}"
     )
     out.append(f"connected number of C in the double cover branched along B: {analysis.connected}")
     if analysis.witness is not None:
@@ -206,27 +191,13 @@ def cmd_split(args) -> int:
 
 def cmd_zariski(args) -> int:
     a1, a2 = _load(args.file1), _load(args.file2)
-    try:
-        cert = zariski_certificate(
-            a1, a2, (args.branch1, args.curve1), (args.branch2, args.curve2)
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INPUT
-    except SplitHypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    cert = zariski_certificate(a1, a2, (args.branch1, args.curve1), (args.branch2, args.curve2))
     sys.stdout.write(certificate_report(cert, args.file1, args.file2))
     return EXIT_OK if cert.conclusion == "CandidatePair" else EXIT_INCONCLUSIVE
 
 
 def cmd_minimality(args) -> int:
-    a1, a2 = _load(args.file1), _load(args.file2)
-    try:
-        report = minimality_check(a1, a2)
-    except ValueError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    report = minimality_check(_load(args.file1), _load(args.file2))
     sys.stdout.write(minimality_report_text(report, args.file1, args.file2))
     return EXIT_OK if report.overall == "Minimal" else EXIT_INCONCLUSIVE
 
@@ -313,6 +284,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
+    except HypothesisError as exc:
+        print(f"hypothesis violation: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

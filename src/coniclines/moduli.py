@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, HypothesisError
 from .incidence import Combinatorics, combinatorics, equivalences
 
 AXIOM_LINES = (
@@ -166,10 +166,6 @@ class DeletionResult:
     partner: str
     certificate: OrderingCertificate | None
 
-    @property
-    def certified(self) -> bool:
-        return self.certificate is not None
-
 
 @dataclass(frozen=True)
 class SharedClassResult:
@@ -203,9 +199,7 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     c_full1, c_full2 = combinatorics(a1), combinatorics(a2)
     eqs = equivalences(c_full1, c_full2)
     if not eqs:
-        raise ValueError(
-            "minimality requires combinatorially equivalent arrangements"
-        )
+        raise HypothesisError("minimality requires combinatorially equivalent arrangements")
     labels = c_full1.labels
     whole = frozenset(labels)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, SubCurve
+from .arrangement import Arrangement, HypothesisError, SubCurve
 from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
 from .linalg import QMatrix, QVectorBasis, in_span, kernel_basis, rank
 from .poly import HomPoly, ProjPoint, monomial_count, monomial_row, multiplication_image
@@ -30,22 +30,15 @@ INVARIANCE_AXIOM = (
 )
 
 
-class SplitHypothesisError(ValueError):
-    """The (B, C) split violates a hypothesis of the splitting criterion."""
-
-
 @dataclass(frozen=True)
 class SplitHypothesisReport:
-    b_even_degree: bool
-    c_nodal_smooth: bool
-    bc_disjoint_from_nodes_of_c: bool
-    all_local_mults_two: bool
+    """The rational points of B ∩ C, sorted, and one message per failed hypothesis."""
+
     intersection_points: tuple[ProjPoint, ...]
     violations: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        # each failed hypothesis adds at least one violation
         return not self.violations
 
 
@@ -70,22 +63,17 @@ def check_hypotheses(
     bset, cset = set(b.labels), frozenset(c.labels)
     violations: list[str] = []
 
-    b_even = b.degree % 2 == 0
-    if not b_even:
+    if b.degree % 2:
         violations.append(f"deg B = {b.degree} is odd")
 
     # C alone must be nodal (its components are smooth by construction)
-    c_nodal = True
     for pt in points:
         on_c = pt.restrict(cset)
         if on_c is not None and on_c.local_type.kind != "node":
-            c_nodal = False
             violations.append(
                 f"C has a {on_c.local_type.display()} at {pt.location}"
             )
 
-    disjoint = True
-    mults_two = True
     bc_points: list[ProjPoint] = []
     for pt in points:
         b_branches = pt.branches & bset
@@ -93,7 +81,6 @@ def check_hypotheses(
         if not (b_branches and c_branches):
             continue
         if isinstance(pt.location, ConjugatePair):
-            mults_two = False
             violations.append(
                 f"B meets C at the irrational conjugate pair of {pt.location.line} "
                 f"and {pt.location.conic}; rational support is required"
@@ -101,10 +88,8 @@ def check_hypotheses(
             continue
         bc_points.append(pt.location)
         if len(c_branches) >= 2:
-            disjoint = False
             violations.append(f"B passes through a singular point of C at {pt.location}")
         if pt.local_type.kind == "other":
-            mults_two = False
             violations.append(
                 f"unsupported local configuration ({pt.local_type.display()}) "
                 f"on B ∩ C at {pt.location}"
@@ -112,37 +97,20 @@ def check_hypotheses(
             continue
         local = sum(pt.mult(x, y) for x in b_branches for y in c_branches)
         if local != 2:
-            mults_two = False
             violations.append(
                 f"local intersection multiplicity of B and C at {pt.location} "
                 f"is {local}, not 2"
             )
 
-    return SplitHypothesisReport(
-        b_even_degree=b_even,
-        c_nodal_smooth=c_nodal,
-        bc_disjoint_from_nodes_of_c=disjoint,
-        all_local_mults_two=mults_two,
-        intersection_points=tuple(sorted(bc_points)),
-        violations=tuple(violations),
-    )
+    return SplitHypothesisReport(tuple(sorted(bc_points)), tuple(violations))
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Degree-n forms vanishing at a point set, as a kernel basis."""
+def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> QVectorBasis:
+    """Kernel of the |pts| × (n+1)(n+2)/2 monomial evaluation matrix.
 
-    degree: int
-    points: tuple[ProjPoint, ...]
-    kernel: QVectorBasis
-
-    @property
-    def projective_dimension(self) -> int:
-        return self.kernel.dim - 1
-
-
-def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> LinearSystem:
-    """Kernel of the |pts| × (n+1)(n+2)/2 monomial evaluation matrix."""
+    It spans the degree-n forms vanishing at pts, a linear system of
+    projective dimension `dim - 1`.
+    """
     if n < 1:
         raise ValueError("degree must be at least 1")
     pts = tuple(pts)
@@ -151,19 +119,23 @@ def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> Line
         raise ValueError(f"duplicate point {dup}")
     cols = monomial_count(n)
     matrix = QMatrix.from_rows([monomial_row(n, p) for p in pts], cols=cols)
-    return LinearSystem(n, pts, kernel_basis(matrix))
+    return kernel_basis(matrix)
 
 
 @dataclass(frozen=True)
 class SplitAnalysis:
-    """Everything the `split` command reports for one (B, C) split."""
+    """Everything the `split` command reports for one (B, C) split.
+
+    `kernel` spans the curves of degree b_degree // 2 through all of
+    `report.intersection_points`.
+    """
 
     b_labels: tuple[str, ...]
     c_labels: tuple[str, ...]
     b_degree: int
     c_degree: int
     report: SplitHypothesisReport
-    system: LinearSystem
+    kernel: QVectorBasis
     connected: int
     witness: HomPoly | None
 
@@ -171,7 +143,7 @@ class SplitAnalysis:
 def analyze_split(
     b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
 ) -> SplitAnalysis:
-    """Hypotheses, linear system, connected number and witness of one split.
+    """Hypotheses, kernel, connected number and witness of one split.
 
     The connected number is 2 when some curve of degree deg(B)/2 through
     all of B ∩ C is divisible by no component of C, and 1 otherwise.  The
@@ -181,12 +153,11 @@ def analyze_split(
     if report is None:
         report = check_hypotheses(b, c, singular_points(b.arrangement))
     if not report.ok:
-        raise SplitHypothesisError(
+        raise HypothesisError(
             "splitting hypotheses violated: " + "; ".join(report.violations)
         )
     n = b.degree // 2
-    system = through_points(n, report.intersection_points)
-    kernel = system.kernel
+    kernel = through_points(n, report.intersection_points)
     value, witness = 1, None
     if kernel.dim > 0:
         # a higher-degree component divides no degree-n form
@@ -199,14 +170,12 @@ def analyze_split(
         ):
             value, witness = 2, _find_witness(n, kernel, images)
     return SplitAnalysis(
-        b.labels, c.labels, b.degree, c.degree, report, system, value, witness
+        b.labels, c.labels, b.degree, c.degree, report, kernel, value, witness
     )
 
 
-def _find_witness(
-    n: int, kernel: QVectorBasis, avoid: list[QVectorBasis], seed: int = 0
-) -> HomPoly:
-    rng = random.Random(seed)
+def _find_witness(n: int, kernel: QVectorBasis, avoid: list[QVectorBasis]) -> HomPoly:
+    rng = random.Random(0)
     for _ in range(10_000):
         coeffs = [rng.randint(-9, 9) for _ in range(kernel.dim)]
         vec = [
@@ -226,18 +195,16 @@ class ZariskiCertificate:
 
     `CandidatePair` means: the arrangements share their combinatorics,
     every equivalence respects the (B, C) split, and the two connected
-    numbers differ.  The topological conclusion additionally relies on the
-    cited invariance statement, which is listed as an axiom rather than
-    recomputed.
+    numbers differ.  The connected numbers are those of `analyses`.  The
+    topological conclusion additionally relies on the cited invariance
+    statement `INVARIANCE_AXIOM`, which the report lists rather than
+    recomputes.
     """
 
-    equivalences_found: bool
     equivalence_count: int
     split_rigid: bool
-    c_values: tuple[int, int]
     analyses: tuple[SplitAnalysis, SplitAnalysis]
     conclusion: str  # "CandidatePair" | "Inconclusive"
-    axioms_used: tuple[str, ...]
     reasons: tuple[str, ...]
 
 
@@ -276,13 +243,10 @@ def zariski_certificate(
         "CandidatePair" if found and rigid and values[0] != values[1] else "Inconclusive"
     )
     return ZariskiCertificate(
-        equivalences_found=found,
         equivalence_count=len(eqs),
         split_rigid=rigid,
-        c_values=values,
         analyses=(an1, an2),
         conclusion=conclusion,
-        axioms_used=(INVARIANCE_AXIOM,),
         reasons=tuple(reasons),
     )
 
@@ -298,8 +262,8 @@ def certificate_report(
         lines.append(f"    C = {{{', '.join(an.c_labels)}}}  (degree {an.c_degree})")
         lines.append(f"    B ∩ C: {len(an.report.intersection_points)} rational points")
         lines.append(
-            f"    curves of degree {an.system.degree} through them: "
-            f"projective dimension {an.system.projective_dimension}"
+            f"    curves of degree {an.b_degree // 2} through them: "
+            f"projective dimension {an.kernel.dim - 1}"
         )
         lines.append(f"    connected number: {an.connected}")
         if an.witness is not None:
@@ -310,6 +274,5 @@ def certificate_report(
     for r in cert.reasons:
         lines.append(f"    reason: {r}")
     lines.append("  axioms used:")
-    for ax in cert.axioms_used:
-        lines.append(f"    - {ax}")
+    lines.append(f"    - {INVARIANCE_AXIOM}")
     return "\n".join(lines) + "\n"

@@ -110,8 +110,8 @@ def test_criterion_2_matrix_dimensions():
         b, c = split_of(load(name))
         report = check_hypotheses(b, c, singular_points(b.arrangement))
         assert report.ok and len(report.intersection_points) == 9, name
-        system = through_points(b.degree // 2, report.intersection_points)
-        assert system.projective_dimension == dim, name
+        kernel = through_points(b.degree // 2, report.intersection_points)
+        assert kernel.dim - 1 == dim, name
     print(
         "PASS criterion 2: projective dimensions (1,0) for pair 1 and (0,1) for pair 2"
     )
@@ -219,8 +219,8 @@ def test_criterion_7_property_suites():
     for name in PAIR_FILES:
         b, c = split_of(load(name))
         report = check_hypotheses(b, c, singular_points(b.arrangement))
-        system = through_points(3, report.intersection_points)
-        for f in (HomPoly(system.degree, v) for v in system.kernel.vectors):
+        kernel = through_points(3, report.intersection_points)
+        for f in (HomPoly(3, v) for v in kernel.vectors):
             for p in report.intersection_points:
                 assert value_at(f, p.coords) == 0
 

@@ -124,6 +124,24 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     assert re.fullmatch(pattern, err)
 
 
+def test_internal_key_error_exit_4(capsys, monkeypatch):
+    # a KeyError from inside the pipeline is a fault of the program, not an
+    # input error: only `main` maps exceptions to exit codes
+    def fail(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(splitting, "equivalences", fail)
+    code, out, err = run(
+        capsys,
+        "zariski",
+        P1B1,
+        P1B2,
+        "--branch1", "B", "--curve1", "CC", "--branch2", "B", "--curve2", "CC",
+    )
+    assert (code, out) == (4, "")
+    assert re.fullmatch(r"internal error: KeyError\('internal'\) at test_cli\.py:\d+\n", err)
+
+
 # 3000 digits each, under the interpreter's default limit of 4300 for int <-> str
 LONG_A, LONG_B = 10**2999 + 7, 3 * 10**2999 - 11
 

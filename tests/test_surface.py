@@ -5,8 +5,9 @@ attribute somewhere in the package, the scripts or the benchmark; a CLI
 command `cmd_<name>` is used when `add_parser` registers the subcommand
 `<name>`, which `cli.main` dispatches to it by name.  Import aliases and
 `__all__` strings are not uses.  The check matches names, not bindings, so
-a method that shares its name with a used one passes unnoticed
-(`Arrangement.restrict` against `Combinatorics.restrict`).
+a method that shares its name with a used one passes unnoticed: a property
+`DeletionResult.certified` read only by the tests would pass, because
+`minimality_report_text` has a local variable named `certified`.
 
 The package also computes on integers only: `parse` clears the fractions
 of an input file, and only the `--window` bounds of `render` stay rational.
