@@ -27,7 +27,7 @@ from .incidence import (
     intersect_lines,
     singular_points,
 )
-from .linalg import QMatrix, QVectorBasis, in_span, kernel_basis, rank
+from .linalg import QMatrix, QVectorBasis, kernel_basis
 from .moduli import (
     MinimalityReport,
     OrderingCertificate,
@@ -35,7 +35,7 @@ from .moduli import (
     minimality_check,
     n_value,
 )
-from .poly import HomPoly, ProjPoint, monomial_row, monomials, multiplication_image
+from .poly import HomPoly, ProjPoint, divides, monomial_row, monomials
 from .splitting import (
     SplitHypothesisReport,
     ZariskiCertificate,
@@ -69,18 +69,16 @@ __all__ = [
     "check_hypotheses",
     "combinatorics",
     "connectivity_certificate",
+    "divides",
     "equivalences",
-    "in_span",
     "intersect_line_conic",
     "intersect_lines",
     "kernel_basis",
     "minimality_check",
     "monomial_row",
     "monomials",
-    "multiplication_image",
     "n_value",
     "parse",
-    "rank",
     "serialize",
     "singular_points",
     "through_points",

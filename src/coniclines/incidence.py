@@ -475,21 +475,24 @@ def equivalences(c1: Combinatorics, c2: Combinatorics, find_all: bool = True) ->
                 return found
         return None
 
-    found = first(0)
-    if found is None:
-        return Equivalences(None)
-    phi = {l: found[l] for l in fp1}
-    if not find_all:
-        return Equivalences(phi)
-    inverse = {m: l for l, m in phi.items()}
-    transversals = []
-    for i, l in enumerate(order):
-        # the candidates before φ(l) already failed on the way to φ
-        later = candidates[l][candidates[l].index(phi[l]) + 1 :]
-        found_here = (first(i, [m]) for m in later)
-        transversals.append(
-            tuple({k: inverse[psi[k]] for k in phi} for psi in found_here if psi is not None)
-        )
-        mapping[l] = phi[l]
-        used.add(phi[l])
-    return Equivalences(phi, tuple(transversals))
+    try:
+        found = first(0)
+        if found is None:
+            return Equivalences(None)
+        phi = {l: found[l] for l in fp1}
+        if not find_all:
+            return Equivalences(phi)
+        inverse = {m: l for l, m in phi.items()}
+        transversals = []
+        for i, l in enumerate(order):
+            # the candidates before φ(l) already failed on the way to φ
+            later = candidates[l][candidates[l].index(phi[l]) + 1 :]
+            found_here = (first(i, [m]) for m in later)
+            transversals.append(
+                tuple({k: inverse[psi[k]] for k in phi} for psi in found_here if psi is not None)
+            )
+            mapping[l] = phi[l]
+            used.add(phi[l])
+        return Equivalences(phi, tuple(transversals))
+    finally:
+        del first  # it calls itself through its closure cell: break that cycle

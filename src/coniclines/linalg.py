@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers.
 
-Everything downstream (evaluation matrices, linear systems of curves,
-divisibility subspaces) reduces to rank, kernel and span-membership
-computations here.  Every form, point and kernel vector in the package is
+Evaluation matrices reduce to a kernel computation here: the linear
+system of curves through prescribed points is the null space of their
+monomial rows.  Every form, point and kernel vector in the package is
 primitive-integer, so vectors and matrices hold plain ints.  Elimination
 is fraction-free (Bareiss), and so is kernel back-substitution:
 intermediate entries stay integers and no rounding ever happens.
@@ -12,9 +12,10 @@ stability does not.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 QVector = tuple[int, ...]
 
@@ -103,12 +104,6 @@ def _ff_echelon(m: QMatrix) -> tuple[list[list[int]], list[int]]:
     return rows[:r], pivots
 
 
-def rank(m: QMatrix) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    _, pivots = _ff_echelon(m)
-    return len(pivots)
-
-
 def kernel_basis(m: QMatrix) -> QVectorBasis:
     """Basis of the right null space {v : m v = 0}.
 
@@ -116,7 +111,10 @@ def kernel_basis(m: QMatrix) -> QVectorBasis:
     variable to 1 and back-substituting; each vector is normalized to
     primitive integer form with first nonzero entry positive.  The partial
     vector is rescaled whenever a pivot does not divide its row sum, so
-    back-substitution stays in the integers.
+    back-substitution stays in the integers.  An echelon row is zero left
+    of its pivot, so rows pivoting right of the free column give 0 and are
+    skipped, and each row sum runs over the entries set so far: the free
+    column and the pivots below the row.
     """
     ech, pivots = _ff_echelon(m)
     pivot_set = set(pivots)
@@ -125,29 +123,18 @@ def kernel_basis(m: QMatrix) -> QVectorBasis:
     for fc in free_cols:
         v = [0] * m.cols
         v[fc] = 1
-        for r in reversed(range(len(pivots))):
+        nonzero = [fc]
+        for r in reversed(range(bisect.bisect(pivots, fc))):
             pc = pivots[r]
             row = ech[r]
-            s = sum(row[j] * v[j] for j in range(pc + 1, m.cols))
+            s = sum(row[j] * v[j] for j in nonzero)
             piv = row[pc]
             if s % piv:
                 scale = abs(piv) // math.gcd(s, piv)
-                v = [e * scale for e in v]
+                for j in nonzero:
+                    v[j] *= scale
                 s *= scale
             v[pc] = -s // piv
+            nonzero.append(pc)
         vectors.append(primitive(v))
     return QVectorBasis(m.cols, tuple(vectors))
-
-
-def in_span(v: Sequence, b: QVectorBasis) -> bool:
-    """True iff v is a rational linear combination of b's vectors."""
-    v = tuple(v)
-    if len(v) != b.ambient_dim:
-        raise ValueError(f"dimension mismatch: {len(v)} vs ambient {b.ambient_dim}")
-    if not any(v):
-        return True
-    if b.dim == 0:
-        return False
-    # b's vectors are independent, so its rank is its dimension
-    extended = QMatrix.from_rows(b.vectors + (v,), cols=b.ambient_dim)
-    return rank(extended) == b.dim

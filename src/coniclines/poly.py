@@ -10,10 +10,11 @@ and report uses it, so exact outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .linalg import QVector, QVectorBasis, primitive
+from .linalg import QVector, primitive
 
 VARIABLES = ("x", "y", "z")
 
@@ -124,15 +125,6 @@ class HomPoly:
     def coefficient(self, expo: tuple[int, int, int]):
         return self.coeffs[_monomial_index(self.degree)[expo]]
 
-    def mul_monomial(self, expo: tuple[int, int, int]) -> "HomPoly":
-        a, b, c = expo
-        deg = self.degree + a + b + c
-        index = _monomial_index(deg)
-        coeffs = [0] * monomial_count(deg)
-        for (a1, b1, c1), k in self.terms():
-            coeffs[index[(a1 + a, b1 + b, c1 + c)]] = k
-        return HomPoly(deg, coeffs)
-
     def primitive(self) -> "HomPoly":
         """Coefficients scaled to coprime integers, first nonzero positive."""
         return HomPoly(self.degree, primitive(self.coeffs))
@@ -204,19 +196,36 @@ def monomial_row(n: int, p: ProjPoint) -> QVector:
     return tuple((px**a) * (py**b) * (pz**c) for a, b, c in monomials(n))
 
 
-def multiplication_image(f: HomPoly, n: int) -> QVectorBasis:
-    """Degree-n coefficient vectors of f * (every form of degree n - deg f).
+def divides(f: HomPoly, coeffs, n: int) -> bool:
+    """True iff the form f divides the degree-n form with these coefficients.
 
-    Multiplication by a nonzero form is injective, so the images of the
-    degree-(n - deg f) monomials are a basis; its dimension is the full
-    binomial count for that degree.
+    Division by the single form f: {f} is a Gröbner basis of (f), so the
+    remainder is zero exactly when f divides (Cox, Little and O'Shea,
+    "Ideals, Varieties, and Algorithms", §2.5).  Among forms of one degree
+    the graded-lex order is lex, so each step takes the first nonzero
+    coefficient left.  When the leading term of f does not divide its
+    monomial, that term stays in the remainder and the answer is no.  The
+    dividend is scaled by f's leading coefficient only when that does not
+    divide the quotient coefficient, so the arithmetic stays in integers.
     """
     if f.is_zero():
-        raise ValueError("zero form has no multiplication image")
-    if f.degree > n:
-        raise ValueError(f"degree overflow: deg f = {f.degree} > n = {n}")
-    vectors = tuple(
-        primitive(f.mul_monomial(expo).coeffs)
-        for expo in monomials(n - f.degree)
-    )
-    return QVectorBasis(monomial_count(n), vectors)
+        raise ValueError("the zero form divides nothing")
+    (lead, lc), *rest = f.terms()
+    index = _monomial_index(n)
+    rem = list(coeffs)
+    for i, expo in enumerate(monomials(n)):
+        k = rem[i]
+        if not k:
+            continue
+        shift = tuple(e - l for e, l in zip(expo, lead))
+        if min(shift) < 0:
+            return False
+        if k % lc:
+            scale = abs(lc) // math.gcd(k, lc)
+            rem = [e * scale for e in rem]
+            k *= scale
+        q = k // lc
+        rem[i] = 0
+        for (a, b, c), coeff in rest:
+            rem[index[(a + shift[0], b + shift[1], c + shift[2])]] -= q * coeff
+    return True

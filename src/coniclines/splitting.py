@@ -4,24 +4,26 @@ For a split of an arrangement into sub-curves B and C (disjoint, covering
 all components, B of even degree, C nodal, B meeting C off its nodes with
 local multiplicity 2 everywhere), the double cover branched along B pulls
 C \\ B back to either 1 or 2 connected pieces.  The verdict reduces to
-exact linear algebra: it is 2 exactly when some curve of degree deg(B)/2
+exact algebra: it is 2 exactly when some curve of degree deg(B)/2
 passes through all points of B ∩ C without containing a component of C.
-The curves containing a component c form c·S, the span of c times every
-form of degree deg(B)/2 − deg c.  Over the rationals a nonzero space is
-never a finite union of proper subspaces, so such a curve exists exactly
-when the kernel K of the system lies in no c·S: one rank test per
-component, rank(c·S + K) > dim c·S.
+The curves through the points form the kernel K of an evaluation matrix,
+and those containing a component c are its multiples.  Over the rationals
+a nonzero space is never a finite union of proper subspaces, so such a
+curve exists exactly when, for every component c, some basis vector of K
+is not divisible by c: one exact polynomial division per basis vector and
+component, and one elimination per split, for K itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, HypothesisError, SubCurve
 from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
-from .linalg import QMatrix, QVectorBasis, in_span, kernel_basis, rank
-from .poly import HomPoly, ProjPoint, monomial_count, monomial_row, multiplication_image
+from .linalg import QMatrix, QVectorBasis, kernel_basis
+from .poly import HomPoly, ProjPoint, divides, monomial_count, monomial_row
 
 INVARIANCE_AXIOM = (
     "invariance: the connected number of C for the double cover branched "
@@ -70,9 +72,9 @@ def check_hypotheses(
     for pt in points:
         on_c = pt.restrict(cset)
         if on_c is not None and on_c.local_type.kind != "node":
-            violations.append(
-                f"C has a {on_c.local_type.display()} at {pt.location}"
-            )
+            name = on_c.local_type.display()
+            article = "an" if name[0] in "aeiou" else "a"
+            violations.append(f"C has {article} {name} at {pt.location}")
 
     bc_points: list[ProjPoint] = []
     for pt in points:
@@ -147,8 +149,8 @@ def analyze_split(
 
     The connected number is 2 when some curve of degree deg(B)/2 through
     all of B ∩ C is divisible by no component of C, and 1 otherwise.  The
-    witness is such a curve, found by deterministic small random
-    combinations of the kernel basis.
+    witness is such a curve: the first seeded small random combination of
+    the kernel basis that is one, else the first such moment-curve point.
     """
     if report is None:
         report = check_hypotheses(b, c, singular_points(b.arrangement))
@@ -158,35 +160,35 @@ def analyze_split(
         )
     n = b.degree // 2
     kernel = through_points(n, report.intersection_points)
+    # a higher-degree component divides no degree-n form
+    forms = [comp.form for comp in c.components if comp.degree <= n]
     value, witness = 1, None
-    if kernel.dim > 0:
-        # a higher-degree component divides no degree-n form
-        images = [multiplication_image(comp.form, n) for comp in c.components if comp.degree <= n]
-        # both bases are independent, so every curve of the system contains
-        # a component exactly when stacking the kernel onto its image adds no rank
-        if all(
-            rank(QMatrix.from_rows(img.vectors + kernel.vectors, cols=img.ambient_dim)) > img.dim
-            for img in images
-        ):
-            value, witness = 2, _find_witness(n, kernel, images)
+    # every curve of the system contains a component exactly when one
+    # component divides every basis vector of the kernel
+    if kernel.dim > 0 and all(any(not divides(f, v, n) for v in kernel.vectors) for f in forms):
+        value, witness = 2, _find_witness(n, kernel, forms)
     return SplitAnalysis(
         b.labels, c.labels, b.degree, c.degree, report, kernel, value, witness
     )
 
 
-def _find_witness(n: int, kernel: QVectorBasis, avoid: list[QVectorBasis]) -> HomPoly:
-    rng = random.Random(0)
-    for _ in range(10_000):
-        coeffs = [rng.randint(-9, 9) for _ in range(kernel.dim)]
+def _find_witness(n: int, kernel: QVectorBasis, avoid: list[HomPoly]) -> HomPoly:
+    # 10,000 seeded small draws first, then the moment curve (1, t, ..., t^(d-1)):
+    # any d of its points are independent (Vandermonde), and the curves of
+    # the system that a form in `avoid` divides are a proper subspace, so
+    # each form divides at most d - 1 of them: one of the first
+    # len(avoid) * (d - 1) + 1 points is a witness
+    rng, d = random.Random(0), kernel.dim
+    draws = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(10_000))
+    moment = ([t**k for k in range(d)] for t in range(len(avoid) * (d - 1) + 1))
+    for coeffs in itertools.chain(draws, moment):
         vec = [
-            sum(coeffs[k] * kernel.vectors[k][i] for k in range(kernel.dim))
+            sum(coeffs[k] * kernel.vectors[k][i] for k in range(d))
             for i in range(kernel.ambient_dim)
         ]
-        if not any(vec):
-            continue
-        if all(not in_span(vec, img) for img in avoid):
+        if any(vec) and not any(divides(f, vec, n) for f in avoid):
             return HomPoly(n, vec).primitive()
-    raise RuntimeError("no witness found; the subspace data is inconsistent")
+    raise AssertionError("unreachable: the moment curve leaves every proper subspace")
 
 
 @dataclass(frozen=True)

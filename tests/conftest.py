@@ -17,10 +17,12 @@ from coniclines.incidence import (
     classify,
     combinatorics,
     equivalences,
+    singular_points,
 )
-from coniclines.linalg import QMatrix, kernel_basis
+from coniclines.linalg import QMatrix, QVectorBasis, _ff_echelon, kernel_basis, primitive
 from coniclines.moduli import OrderingCertificate, _tangent_lines, connectivity_certificate, n_value
-from coniclines.poly import HomPoly, ProjPoint, cross, monomials
+from coniclines.poly import HomPoly, ProjPoint, cross, monomial_count, monomials
+from coniclines.splitting import check_hypotheses, through_points
 
 from .oracles import X, Y, Z, to_sympy
 
@@ -396,3 +398,87 @@ def random_matrix_rows(rng: random.Random, max_dim: int = 12):
         factor = Fraction(rng.randint(-3, 3))
         grid[-1] = [factor * e for e in grid[src]]
     return grid, cols
+
+
+def rank(m: QMatrix) -> int:
+    """Rank over the rationals, by the package's fraction-free elimination."""
+    _, pivots = _ff_echelon(m)
+    return len(pivots)
+
+
+def in_span(v, b: QVectorBasis) -> bool:
+    """True iff v is a rational linear combination of b's independent vectors."""
+    v = tuple(v)
+    if len(v) != b.ambient_dim:
+        raise ValueError(f"dimension mismatch: {len(v)} vs ambient {b.ambient_dim}")
+    if not any(v):
+        return True
+    if b.dim == 0:
+        return False
+    return rank(QMatrix.from_rows(b.vectors + (v,), cols=b.ambient_dim)) == b.dim
+
+
+def multiplication_image(f: HomPoly, n: int) -> QVectorBasis:
+    """Degree-n coefficient vectors of f * (every monomial of degree n - deg f): a basis of f·S."""
+    if f.is_zero():
+        raise ValueError("zero form has no multiplication image")
+    if f.degree > n:
+        raise ValueError(f"degree overflow: deg f = {f.degree} > n = {n}")
+    vectors = tuple(primitive(times_monomial(f, expo).coeffs) for expo in monomials(n - f.degree))
+    return QVectorBasis(monomial_count(n), vectors)
+
+
+def times_monomial(f: HomPoly, expo: tuple[int, int, int]) -> HomPoly:
+    """f times the monomial x^a * y^b * z^c of the exponent triple (a, b, c)."""
+    a, b, c = expo
+    return HomPoly.from_terms(
+        f.degree + a + b + c, {(a1 + a, b1 + b, c1 + c): k for (a1, b1, c1), k in f.terms()}
+    )
+
+
+def stacked_rank_split(b, c) -> tuple[int, HomPoly | None]:
+    """(connected number, witness) of a split by rank tests on stacked matrices.
+
+    The reference that division is compared against: the kernel K lies in
+    c·S exactly when stacking K onto `multiplication_image(c, n)` adds no
+    rank, and the witness is the first of the same 10,000 seeded draws
+    that lies in no c·S by `in_span`.
+    """
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    n = b.degree // 2
+    kernel = through_points(n, report.intersection_points)
+    images = [multiplication_image(comp.form, n) for comp in c.components if comp.degree <= n]
+    if kernel.dim == 0 or any(
+        rank(QMatrix.from_rows(img.vectors + kernel.vectors, cols=img.ambient_dim)) == img.dim
+        for img in images
+    ):
+        return 1, None
+    rng = random.Random(0)
+    for _ in range(10_000):
+        coeffs = [rng.randint(-9, 9) for _ in range(kernel.dim)]
+        vec = [sum(k * v[i] for k, v in zip(coeffs, kernel.vectors)) for i in range(kernel.ambient_dim)]
+        if any(vec) and not any(in_span(vec, img) for img in images):
+            return 2, HomPoly(n, vec).primitive()
+    raise AssertionError("no witness among the seeded draws")
+
+
+def tangent_split(rng: random.Random, m: int) -> Arrangement:
+    """The conic x*z - y^2 with 2m tangent lines, moved by a random projective map.
+
+    The tangent at (s^2 : s*t : t^2) is t^2*x - 2*s*t*y + s^2*z.  B is the
+    lines and CC the conic, as in the package's splitting benchmark.
+    """
+    params = set()
+    while len(params) < 2 * m:
+        s, t = rng.randint(-9, 9), rng.randint(0, 9)
+        if math.gcd(s, t) == 1 and (t or s == 1):
+            params.add((s, t))
+    lines = "".join(
+        f"line L{i} : {t * t} {-2 * s * t} {s * s}\n" for i, (s, t) in enumerate(sorted(params), 1)
+    )
+    text = (
+        "conic C : 0 -1 0 0 1 0\n"
+        + lines
+        + "curve B = " + " ".join(f"L{i}" for i in range(1, 2 * m + 1)) + "\ncurve CC = C\n"
+    )
+    return transform_arrangement(parse(text), random_invertible_matrix(rng))

@@ -16,7 +16,7 @@ from coniclines.incidence import (
     equivalences,
     singular_points,
 )
-from coniclines.linalg import QMatrix, kernel_basis, rank
+from coniclines.linalg import QMatrix, kernel_basis
 from coniclines.moduli import minimality_check, n_value
 from coniclines.poly import HomPoly
 from coniclines.splitting import (
@@ -33,6 +33,7 @@ from .conftest import (
     random_arrangement,
     random_invertible_matrix,
     random_matrix_rows,
+    rank,
     sub_arrangement,
     transform_arrangement,
     value_at,

@@ -1,6 +1,7 @@
 """CLI behaviour: reports, exit codes, determinism, SVG output."""
 
 import argparse
+import gc
 import os
 import re
 import subprocess
@@ -612,3 +613,23 @@ def test_commands_are_dispatched_by_name_at_call_time(capsys, monkeypatch):
     assert run(capsys, "analyze", P1B1)[0] == 0
     monkeypatch.setattr(cli, "cmd_analyze", lambda args: print(f"stub {args.file}") or 3)
     assert run(capsys, "analyze", P1B1) == (3, f"stub {P1B1}\n", "")
+
+
+def test_commands_leave_no_reference_cycles(capsys):
+    # the equivalence search is recursive; it must not keep itself alive after a call
+    commands = [
+        ("compare", P2B1, P2B2),
+        ("zariski", P2B1, P2B2, "--branch1", "B", "--curve1", "CC", "--branch2", "B", "--curve2", "CC"),
+        ("minimality", P2B1, P2B2),
+    ]
+    for argv in commands:  # the first calls build the parser and fill the caches
+        main(list(argv))
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            main(list(argv))
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

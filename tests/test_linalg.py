@@ -8,16 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniclines.linalg import (
-    QMatrix,
-    QVectorBasis,
-    in_span,
-    kernel_basis,
-    primitive,
-    rank,
-)
+from coniclines.linalg import QMatrix, QVectorBasis, kernel_basis, primitive
 
-from .conftest import cleared, random_matrix_rows
+from .conftest import cleared, in_span, random_matrix_rows, rank
 from .oracles import naive_kernel, naive_rank
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=4)

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniclines.linalg import QMatrix, rank
+from coniclines.linalg import QMatrix
 from coniclines.poly import (
     HomPoly,
     ProjPoint,
     digits,
+    divides,
     monomial_count,
     monomial_row,
     monomials,
-    multiplication_image,
 )
 
-from .conftest import long_int, value_at
-from .oracles import sympy_divides
+from .conftest import from_sympy, long_int, multiplication_image, rank, times_monomial, value_at
+from .oracles import sympy_divides, to_sympy
 
 X = HomPoly(1, (1, 0, 0))
 
@@ -133,6 +133,56 @@ def test_multiplication_image_rank_equals_predicted():
     image = multiplication_image(PAPER_CONIC, 4)
     m = QMatrix.from_rows(image.vectors, cols=monomial_count(4))
     assert rank(m) == monomial_count(2)
+
+
+def integer_forms(degree, bound=5):
+    n = monomial_count(degree)
+    coeffs = st.lists(st.integers(-bound, bound), min_size=n, max_size=n).filter(any)
+    return coeffs.map(lambda cs: HomPoly(degree, cs))
+
+
+def product(f: HomPoly, g: HomPoly) -> HomPoly:
+    """f * g, multiplied in sympy."""
+    return from_sympy(to_sympy(f) * to_sympy(g), f.degree + g.degree)
+
+
+@given(
+    st.integers(1, 3).flatmap(integer_forms),
+    st.integers(0, 3).flatmap(integer_forms),
+    st.integers(0, 27),
+    st.integers(-3, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_divides_matches_sympy_division(f, g, at, delta):
+    # f * g with one coefficient moved by delta: divisible for delta 0, mostly not otherwise
+    v = list(product(f, g).coeffs)
+    v[at % len(v)] += delta
+    n = f.degree + g.degree
+    assert divides(f, v, n) == sympy_divides(HomPoly(n, v), f)
+
+
+@given(st.integers(1, 3).flatmap(integer_forms), st.integers(0, 3).flatmap(integer_forms))
+@settings(max_examples=150, deadline=None)
+def test_divides_every_product(f, g):
+    fg = product(f, g)
+    assert divides(f, fg.coeffs, fg.degree)
+    assert divides(g, fg.coeffs, fg.degree)
+    assert divides(f, times_monomial(fg, (0, 1, 2)).coeffs, fg.degree + 3)
+
+
+def test_divides_small_cases():
+    y = HomPoly(1, (0, 1, 0))
+    xy = HomPoly(2, (0, 1, 0, 0, 0, 0))
+    assert divides(X, xy.coeffs, 2) and divides(y, xy.coeffs, 2)
+    assert not divides(HomPoly(1, (0, 0, 1)), xy.coeffs, 2)
+    assert divides(PAPER_CONIC, [0] * 10, 3)
+    # a form of higher degree divides no nonzero form
+    assert not divides(PAPER_CONIC, X.coeffs, 1)
+    # 2x + 3y divides 4x^2 - 9y^2 only after the dividend is scaled by 2
+    assert divides(HomPoly(1, (2, 3, 0)), (4, 0, 0, -9, 0, 0), 2)
+    assert not divides(HomPoly(1, (2, 3, 0)), (4, 0, 0, 9, 0, 0), 2)
+    with pytest.raises(ValueError):
+        divides(HomPoly(1, (0, 0, 0)), xy.coeffs, 2)
 
 
 def test_digits_reads_back_past_the_digit_limit():

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, HypothesisError, SubCurve, parse
-from coniclines.linalg import QMatrix, in_span, rank
-from coniclines.poly import HomPoly, ProjPoint, multiplication_image
+from coniclines import linalg, splitting
+from coniclines.linalg import QMatrix
+from coniclines.poly import HomPoly, ProjPoint, divides
 from coniclines.splitting import (
     INVARIANCE_AXIOM,
     analyze_split,
@@ -24,9 +25,14 @@ from coniclines.incidence import ConjugatePair, singular_points
 from .conftest import (
     PAIR_FILES,
     from_sympy,
+    in_span,
     load,
+    multiplication_image,
     random_invertible_matrix,
+    rank,
     relabelled_image,
+    stacked_rank_split,
+    tangent_split,
     transform_arrangement,
     value_at,
 )
@@ -76,6 +82,15 @@ def test_odd_degree_branch_rejected(pair1_b1):
     report = check_hypotheses(b, c, singular_points(b.arrangement))
     assert "deg B = 1 is odd" in report.violations
     assert any("odd" in v for v in report.violations)
+
+
+def test_violation_names_a_triple_point_with_an(pair1_b1):
+    b = SubCurve(pair1_b1, ("L1",))
+    c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
+    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    triple = [v for v in report.violations if "triple" in v]
+    assert triple and all(v.startswith("C has an ordinary triple point at [") for v in triple)
+    assert not any(" a o" in v for v in report.violations)
 
 
 def test_non_nodal_c_rejected(pair1_b1):
@@ -132,7 +147,6 @@ def test_split_must_partition(pair1_b1):
 
 
 def test_evaluation_matrix_ranks():
-    from coniclines.linalg import QMatrix, rank
     from coniclines.poly import monomial_row
 
     expected = {"pair1_B1": 8, "pair1_B2": 9}
@@ -232,7 +246,7 @@ def test_witness_properties_pair2():
 
 
 def test_divisibility_dual_oracle():
-    # span-membership and rank verdicts == sympy's exact polynomial division, on K's basis
+    # division, span-membership and rank verdicts == sympy's exact polynomial division, on K's basis
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         b, c = split_of(a)
@@ -242,10 +256,70 @@ def test_divisibility_dual_oracle():
             if comp.degree > 3:
                 continue
             img = multiplication_image(comp.form, 3)
-            divides = [sympy_divides(HomPoly(3, v), comp.form) for v in K.vectors]
-            assert [in_span(v, img) for v in K.vectors] == divides
+            expected = [sympy_divides(HomPoly(3, v), comp.form) for v in K.vectors]
+            assert [divides(comp.form, v, 3) for v in K.vectors] == expected
+            assert [in_span(v, img) for v in K.vectors] == expected
             stacked = QMatrix.from_rows(img.vectors + K.vectors, cols=img.ambient_dim)
-            assert (rank(stacked) == img.dim) == all(divides)
+            assert (rank(stacked) == img.dim) == all(expected)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_division_agrees_with_stacked_ranks_on_tangent_splits(m):
+    # a conic with 2m tangent lines under random projective maps, as in the split benchmark
+    rng = random.Random(2000 + m)
+    for _ in range(2):
+        a = tangent_split(rng, m)
+        b, c = a.subcurve("B"), a.subcurve("CC")
+        analysis = analyze_split(b, c)
+        assert analysis.kernel.dim == (m + 1) * (m + 2) // 2 - 2 * m
+        assert (analysis.connected, analysis.witness) == stacked_rank_split(b, c)
+        assert analysis.connected == 2
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FILES))
+def test_one_elimination_per_split(name, monkeypatch):
+    # the kernel is the only elimination: divisibility and the witness search divide
+    calls = []
+    echelon = linalg._ff_echelon
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return echelon(m)
+
+    monkeypatch.setattr(linalg, "_ff_echelon", counting)
+    analysis = analyze_split(*split_of(load(name)))
+    assert calls == [(9, 10)]
+    assert analysis.kernel.dim > 0
+
+
+class ZeroRandom:
+    """A stand-in for `random.Random` whose every draw is 0, counting its draws."""
+
+    draws = 0
+
+    def __init__(self, seed):
+        pass
+
+    def randint(self, lo, hi):
+        ZeroRandom.draws += 1
+        return 0
+
+
+@pytest.mark.parametrize("name", ["pair1_B1", "pair2_B2"])
+def test_witness_falls_back_to_the_moment_curve(name, monkeypatch):
+    # all 10,000 seeded draws give the zero curve, so the moment curve must find the witness
+    monkeypatch.setattr(ZeroRandom, "draws", 0)
+    monkeypatch.setattr(splitting.random, "Random", ZeroRandom)
+    b, c = split_of(load(name))
+    analysis = analyze_split(b, c)
+    assert ZeroRandom.draws == 10_000 * analysis.kernel.dim
+    assert analysis.connected == 2
+    witness = analysis.witness
+    for p in analysis.report.intersection_points:
+        assert value_at(witness, p.coords) == 0
+    for comp in c.components:
+        assert not sympy_divides(witness, comp.form)
+        assert not divides(comp.form, witness.coeffs, witness.degree)
 
 
 def test_connected_number_requires_hypotheses(pair1_b1):
