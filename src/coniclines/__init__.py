@@ -12,22 +12,19 @@ from .arrangement import (
     ParseError,
     SubCurve,
     parse,
-    serialize,
 )
 from .incidence import (
     Combinatorics,
     ConjugatePair,
     Equivalences,
     SingularPoint,
-    Tangent,
-    TwoRational,
     combinatorics,
     equivalences,
     intersect_line_conic,
     intersect_lines,
     singular_points,
 )
-from .linalg import QMatrix, QVectorBasis, kernel_basis
+from .linalg import QMatrix, kernel_basis
 from .moduli import (
     MinimalityReport,
     OrderingCertificate,
@@ -59,12 +56,9 @@ __all__ = [
     "ParseError",
     "ProjPoint",
     "QMatrix",
-    "QVectorBasis",
     "SingularPoint",
     "SplitHypothesisReport",
     "SubCurve",
-    "Tangent",
-    "TwoRational",
     "ZariskiCertificate",
     "check_hypotheses",
     "combinatorics",
@@ -79,7 +73,6 @@ __all__ = [
     "monomials",
     "n_value",
     "parse",
-    "serialize",
     "singular_points",
     "through_points",
     "zariski_certificate",

@@ -25,7 +25,6 @@ from typing import Iterable, Mapping
 
 from .poly import HomPoly
 
-LINE_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 CONIC_EXPONENTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -88,8 +87,8 @@ def conic_matrix_determinant(form: HomPoly) -> int:
     exactly when the conic is smooth; a product of two lines (e.g.
     x^2 - y^2) gives 0.
     """
-    a, b, c, d, e, f = (form.coefficient(expo) for expo in CONIC_EXPONENTS)
-    return 4 * a * b * c + d * e * f - a * f * f - b * e * e - c * d * d
+    a, b, c, d, e, f = form.coeffs  # x^2, xy, xz, y^2, yz, z^2
+    return 4 * a * d * f + b * c * e - a * e * e - d * c * c - f * b * b
 
 
 @dataclass(frozen=True)
@@ -283,17 +282,3 @@ def parse(text: str) -> Arrangement:
 
     return arrangement()
 
-
-def _coeff_string(form: HomPoly, exponents) -> str:
-    return " ".join(str(form.coefficient(e)) for e in exponents)
-
-
-def serialize(a: Arrangement) -> str:
-    """Stable text form; parse(serialize(a)) reproduces a exactly."""
-    out = []
-    for comp in a.components:
-        exps = LINE_EXPONENTS if comp.kind == "line" else CONIC_EXPONENTS
-        out.append(f"{comp.kind} {comp.label} : {_coeff_string(comp.form, exps)}")
-    for name, members in a.subcurves.items():
-        out.append(f"curve {name} = {' '.join(members)}")
-    return "\n".join(out) + ("\n" if out else "")

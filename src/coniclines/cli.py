@@ -178,8 +178,8 @@ def cmd_split(args) -> int:
         out.append(f"  {p}")
     out.append(
         f"curves of degree {analysis.b_degree // 2} through all of them: "
-        f"vector dimension {analysis.kernel.dim}, "
-        f"projective dimension {analysis.kernel.dim - 1}"
+        f"vector dimension {len(analysis.kernel)}, "
+        f"projective dimension {len(analysis.kernel) - 1}"
     )
     out.append(f"connected number of C in the double cover branched along B: {analysis.connected}")
     if analysis.witness is not None:

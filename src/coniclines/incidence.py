@@ -27,17 +27,6 @@ Coords = tuple[int, int, int]  # primitive, first nonzero coordinate positive
 
 
 @dataclass(frozen=True)
-class Tangent:
-    point: Coords
-
-
-@dataclass(frozen=True)
-class TwoRational:
-    p1: Coords
-    p2: Coords
-
-
-@dataclass(frozen=True)
 class ConjugatePair:
     """Two Galois-conjugate intersection points of a line and the conic.
 
@@ -49,9 +38,6 @@ class ConjugatePair:
     discriminant: int
     line: str
     conic: str
-
-
-LineConicOutcome = Tangent | TwoRational | ConjugatePair
 
 
 def intersect_lines(l1: Component, l2: Component) -> Coords:
@@ -76,13 +62,16 @@ def _line_points(line: Component) -> tuple[Coords, Coords]:
     return (1, 0, 0), primitive((0, -c, b))
 
 
-def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
-    """Classify line ∩ conic by the discriminant of the restricted quadratic.
+def intersect_line_conic(
+    line: Component, conic: Component
+) -> tuple[tuple[Coords, int], ...] | ConjugatePair:
+    """line ∩ conic as (point, local multiplicity) pairs, or a conjugate pair.
 
     Parameterize the line by s*P0 + t*P1 and restrict the conic to a binary
     quadratic A s^2 + B s t + C t^2; then Δ = B^2 - 4AC decides: 0 is a
-    tangency, a nonzero square gives two rational points, anything else a
-    conjugate pair.  Points are primitive coordinate triples.
+    tangency, one point of multiplicity 2; a nonzero square gives two
+    rational points of multiplicity 1, sorted; anything else a conjugate
+    pair.  Points are primitive coordinate triples.
     """
     if line.kind != "line" or conic.kind != "conic":
         raise ValueError("intersect_line_conic expects a line and a conic")
@@ -96,19 +85,15 @@ def intersect_line_conic(line: Component, conic: Component) -> LineConicOutcome:
     if disc == 0:
         if A == 0:
             # restriction is C t^2 with C != 0: double root at t = 0
-            return Tangent(p0)
-        return Tangent(point_at(-B, 2 * A))
+            return ((p0, 2),)
+        return ((point_at(-B, 2 * A), 2),)
     if disc > 0 and math.isqrt(disc) ** 2 == disc:
         root = math.isqrt(disc)
         if A == 0:
             pts = [point_at(1, 0), point_at(-C, B)]
         else:
-            pts = [
-                point_at(-B + root, 2 * A),
-                point_at(-B - root, 2 * A),
-            ]
-        pts.sort()
-        return TwoRational(pts[0], pts[1])
+            pts = [point_at(-B + root, 2 * A), point_at(-B - root, 2 * A)]
+        return tuple((p, 1) for p in sorted(pts))
     return ConjugatePair(disc, line.label, conic.label)
 
 
@@ -226,13 +211,11 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
             continue
         line, conic = (c1, c2) if c1.kind == "line" else (c2, c1)
         outcome = intersect_line_conic(line, conic)
-        if isinstance(outcome, Tangent):
-            record(outcome.point, line.label, conic.label, 2)
-        elif isinstance(outcome, TwoRational):
-            record(outcome.p1, line.label, conic.label, 1)
-            record(outcome.p2, line.label, conic.label, 1)
-        else:
+        if isinstance(outcome, ConjugatePair):
             conjugates.append(outcome)
+            continue
+        for p, mult in outcome:
+            record(p, line.label, conic.label, mult)
 
     points: list[SingularPoint] = []
     for p in sorted(by_point):

@@ -56,22 +56,6 @@ class QMatrix:
         return cls(len(ent), cols, ent)
 
 
-@dataclass(frozen=True)
-class QVectorBasis:
-    """A list of linearly independent integer vectors spanning a subspace."""
-
-    ambient_dim: int
-    vectors: tuple[QVector, ...]
-
-    def __post_init__(self):
-        if any(len(v) != self.ambient_dim for v in self.vectors):
-            raise ValueError("vector length differs from ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-
 def _ff_echelon(m: QMatrix) -> tuple[list[list[int]], list[int]]:
     """Row echelon form of m by fraction-free (Bareiss) elimination.
 
@@ -104,8 +88,8 @@ def _ff_echelon(m: QMatrix) -> tuple[list[list[int]], list[int]]:
     return rows[:r], pivots
 
 
-def kernel_basis(m: QMatrix) -> QVectorBasis:
-    """Basis of the right null space {v : m v = 0}.
+def kernel_basis(m: QMatrix) -> tuple[QVector, ...]:
+    """Basis of the right null space {v : m v = 0}, as a tuple of vectors.
 
     One basis vector per free column, obtained by setting that free
     variable to 1 and back-substituting; each vector is normalized to
@@ -137,4 +121,4 @@ def kernel_basis(m: QMatrix) -> QVectorBasis:
             v[pc] = -s // piv
             nonzero.append(pc)
         vectors.append(primitive(v))
-    return QVectorBasis(m.cols, tuple(vectors))
+    return tuple(vectors)

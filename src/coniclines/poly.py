@@ -122,9 +122,6 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def coefficient(self, expo: tuple[int, int, int]):
-        return self.coeffs[_monomial_index(self.degree)[expo]]
-
     def primitive(self) -> "HomPoly":
         """Coefficients scaled to coprime integers, first nonzero positive."""
         return HomPoly(self.degree, primitive(self.coeffs))

@@ -3,8 +3,9 @@
 The only floating point in the package lives here, and nothing computed
 here flows back into any analysis.  Lines are clipped exactly against the
 window before the final float conversion.  The conic is swept once
-through the pencil of lines at a real point found in closed form, exactly
-on integers when that point is rational; a definite conic is not drawn.
+through the pencil of lines at a real point found in closed form on
+integers: exact when that point is rational, else rounded to about 64
+bits by an integer square root; a definite conic is not drawn.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ def _chart_point(order: tuple[int, int, int], coords) -> tuple[float, float] | N
     if c2 < 0:  # 0 / -k would give -0.0, which formats as "-0.00"
         c0, c1, c2 = -c0, -c1, -c2
     # int true division rounds correctly, as float(Fraction(c0, c2)) does
-    return c0 / c2, c1 / c2
+    try:
+        return c0 / c2, c1 / c2
+    except OverflowError:  # a quotient past the float range is off every window
+        return None
 
 
 def _chart_form(order: tuple[int, int, int], form: HomPoly) -> HomPoly:
@@ -128,7 +132,7 @@ def _line_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
 BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _real_point_on_conic(q: HomPoly) -> tuple | None:
+def _real_point_on_conic(q: HomPoly) -> tuple[int, int, int] | None:
     """A real point of the smooth conic q, or None when q is definite.
 
     The lines tried are the three coordinate lines, then the line from each
@@ -136,7 +140,10 @@ def _real_point_on_conic(q: HomPoly) -> tuple | None:
     three miss the conic, the diagonal of M has one sign and its 2x2
     principal minors are positive; an indefinite q then has det M of the
     opposite sign, so q(pole_k) = det M * adj(M)_kk / 2 and q(e_k) differ
-    in sign.  The point is in ints when the discriminant is a square.
+    in sign.  The point is exact when the discriminant is a square;
+    otherwise 2^k sqrt(disc) is taken by the integer square root, with k
+    such that its rounding moves the point by about a 2^-64 fraction of
+    its size.
     """
     a, b, c, d, e, f = q.coeffs  # x^2, xy, xz, y^2, yz, z^2
     m = ((2 * a, b, c), (b, 2 * d, e), (c, e, 2 * f))
@@ -150,9 +157,13 @@ def _real_point_on_conic(q: HomPoly) -> tuple | None:
             return u
         root = math.isqrt(disc)
         if root * root != disc:
-            root = math.sqrt(disc)
-        # (s : t) = (root - B : 2A); zero only when the pole is e_k itself
-        point = tuple((root - B) * x + 2 * A * y for x, y in zip(u, w))
+            bits = max(abs(v) for v in (*u, *w)).bit_length()
+            k = max(0, 64 + 2 * bits - disc.bit_length() // 2)
+            root, A, B, C = math.isqrt(disc << 2 * k), A << k, B << k, C << k
+        # (s : t) = (root - B : 2A) = (-2C : root + B), the second where the
+        # first would cancel; zero only when the pole is e_k itself
+        s, t = (-2 * C, root + B) if B > 0 else (root - B, 2 * A)
+        point = tuple(s * x + t * y for x, y in zip(u, w))
         if any(point):
             return point
     return None

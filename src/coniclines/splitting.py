@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement, HypothesisError, SubCurve
 from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
-from .linalg import QMatrix, QVectorBasis, kernel_basis
+from .linalg import QMatrix, QVector, kernel_basis
 from .poly import HomPoly, ProjPoint, divides, monomial_count, monomial_row
 
 INVARIANCE_AXIOM = (
@@ -107,11 +107,11 @@ def check_hypotheses(
     return SplitHypothesisReport(tuple(sorted(bc_points)), tuple(violations))
 
 
-def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> QVectorBasis:
-    """Kernel of the |pts| × (n+1)(n+2)/2 monomial evaluation matrix.
+def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> tuple[QVector, ...]:
+    """A basis of the kernel of the |pts| × (n+1)(n+2)/2 monomial evaluation matrix.
 
     It spans the degree-n forms vanishing at pts, a linear system of
-    projective dimension `dim - 1`.
+    projective dimension `len(basis) - 1`.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -119,16 +119,14 @@ def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> QVec
     if len(set(pts)) != len(pts):
         dup = next(p for p in pts if pts.count(p) > 1)
         raise ValueError(f"duplicate point {dup}")
-    cols = monomial_count(n)
-    matrix = QMatrix.from_rows([monomial_row(n, p) for p in pts], cols=cols)
-    return kernel_basis(matrix)
+    return kernel_basis(QMatrix.from_rows([monomial_row(n, p) for p in pts], monomial_count(n)))
 
 
 @dataclass(frozen=True)
 class SplitAnalysis:
     """Everything the `split` command reports for one (B, C) split.
 
-    `kernel` spans the curves of degree b_degree // 2 through all of
+    `kernel` is a basis of the curves of degree b_degree // 2 through all of
     `report.intersection_points`.
     """
 
@@ -137,7 +135,7 @@ class SplitAnalysis:
     b_degree: int
     c_degree: int
     report: SplitHypothesisReport
-    kernel: QVectorBasis
+    kernel: tuple[QVector, ...]
     connected: int
     witness: HomPoly | None
 
@@ -165,27 +163,24 @@ def analyze_split(
     value, witness = 1, None
     # every curve of the system contains a component exactly when one
     # component divides every basis vector of the kernel
-    if kernel.dim > 0 and all(any(not divides(f, v, n) for v in kernel.vectors) for f in forms):
+    if kernel and all(any(not divides(f, v, n) for v in kernel) for f in forms):
         value, witness = 2, _find_witness(n, kernel, forms)
     return SplitAnalysis(
         b.labels, c.labels, b.degree, c.degree, report, kernel, value, witness
     )
 
 
-def _find_witness(n: int, kernel: QVectorBasis, avoid: list[HomPoly]) -> HomPoly:
+def _find_witness(n: int, kernel: tuple[QVector, ...], avoid: list[HomPoly]) -> HomPoly:
     # 10,000 seeded small draws first, then the moment curve (1, t, ..., t^(d-1)):
     # any d of its points are independent (Vandermonde), and the curves of
     # the system that a form in `avoid` divides are a proper subspace, so
     # each form divides at most d - 1 of them: one of the first
     # len(avoid) * (d - 1) + 1 points is a witness
-    rng, d = random.Random(0), kernel.dim
+    rng, d = random.Random(0), len(kernel)
     draws = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(10_000))
     moment = ([t**k for k in range(d)] for t in range(len(avoid) * (d - 1) + 1))
     for coeffs in itertools.chain(draws, moment):
-        vec = [
-            sum(coeffs[k] * kernel.vectors[k][i] for k in range(d))
-            for i in range(kernel.ambient_dim)
-        ]
+        vec = [sum(k * v[i] for k, v in zip(coeffs, kernel)) for i in range(monomial_count(n))]
         if any(vec) and not any(divides(f, vec, n) for f in avoid):
             return HomPoly(n, vec).primitive()
     raise AssertionError("unreachable: the moment curve leaves every proper subspace")
@@ -265,7 +260,7 @@ def certificate_report(
         lines.append(f"    B ∩ C: {len(an.report.intersection_points)} rational points")
         lines.append(
             f"    curves of degree {an.b_degree // 2} through them: "
-            f"projective dimension {an.kernel.dim - 1}"
+            f"projective dimension {len(an.kernel) - 1}"
         )
         lines.append(f"    connected number: {an.connected}")
         if an.witness is not None:

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 
 from coniclines import parse
-from coniclines.arrangement import Arrangement, Component, conic_form, line_form
+from coniclines.arrangement import CONIC_EXPONENTS, Arrangement, Component, conic_form, line_form
 from coniclines.incidence import (
     Combinatorics,
     ConjugatePair,
@@ -19,7 +19,7 @@ from coniclines.incidence import (
     equivalences,
     singular_points,
 )
-from coniclines.linalg import QMatrix, QVectorBasis, _ff_echelon, kernel_basis, primitive
+from coniclines.linalg import QMatrix, QVector, _ff_echelon, kernel_basis, primitive
 from coniclines.moduli import OrderingCertificate, _tangent_lines, connectivity_certificate, n_value
 from coniclines.poly import HomPoly, ProjPoint, cross, monomial_count, monomials
 from coniclines.splitting import check_hypotheses, through_points
@@ -53,6 +53,29 @@ def cleared(vec) -> tuple[int, ...]:
     return tuple(int(e * den) for e in vec)
 
 
+LINE_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def coefficient(form: HomPoly, expo: tuple[int, int, int]) -> int:
+    """The coefficient of the monomial with this exponent triple."""
+    return dict(zip(monomials(form.degree), form.coeffs))[expo]
+
+
+def _coeff_string(form: HomPoly, exponents) -> str:
+    return " ".join(str(coefficient(form, e)) for e in exponents)
+
+
+def serialize(a: Arrangement) -> str:
+    """Stable text form, in the file's coefficient order; parse(serialize(a)) == a."""
+    out = []
+    for comp in a.components:
+        exps = LINE_EXPONENTS if comp.kind == "line" else CONIC_EXPONENTS
+        out.append(f"{comp.kind} {comp.label} : {_coeff_string(comp.form, exps)}")
+    for name, members in a.subcurves.items():
+        out.append(f"curve {name} = {' '.join(members)}")
+    return "\n".join(out) + ("\n" if out else "")
+
+
 def load(name: str) -> Arrangement:
     return parse(PAIR_FILES[name].read_text(encoding="utf-8"))
 
@@ -84,7 +107,7 @@ def reference_singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
             continue
         line, conic = (c1, c2) if c1.kind == "line" else (c2, c1)
         q = conic.form
-        u, w = kernel_basis(QMatrix.from_rows([line.form.coeffs], cols=3)).vectors
+        u, w = kernel_basis(QMatrix.from_rows([line.form.coeffs], cols=3))
         A, C = value_at(q, u), value_at(q, w)
         B = value_at(q, tuple(x + y for x, y in zip(u, w))) - A - C
         disc = B * B - 4 * A * C
@@ -406,26 +429,25 @@ def rank(m: QMatrix) -> int:
     return len(pivots)
 
 
-def in_span(v, b: QVectorBasis) -> bool:
-    """True iff v is a rational linear combination of b's independent vectors."""
+def in_span(v, basis: tuple[QVector, ...], ambient: int) -> bool:
+    """True iff v in Q^ambient is a rational combination of the independent vectors of `basis`."""
     v = tuple(v)
-    if len(v) != b.ambient_dim:
-        raise ValueError(f"dimension mismatch: {len(v)} vs ambient {b.ambient_dim}")
+    if len(v) != ambient:
+        raise ValueError(f"dimension mismatch: {len(v)} vs ambient {ambient}")
     if not any(v):
         return True
-    if b.dim == 0:
+    if not basis:
         return False
-    return rank(QMatrix.from_rows(b.vectors + (v,), cols=b.ambient_dim)) == b.dim
+    return rank(QMatrix.from_rows(basis + (v,), cols=ambient)) == len(basis)
 
 
-def multiplication_image(f: HomPoly, n: int) -> QVectorBasis:
+def multiplication_image(f: HomPoly, n: int) -> tuple[QVector, ...]:
     """Degree-n coefficient vectors of f * (every monomial of degree n - deg f): a basis of f·S."""
     if f.is_zero():
         raise ValueError("zero form has no multiplication image")
     if f.degree > n:
         raise ValueError(f"degree overflow: deg f = {f.degree} > n = {n}")
-    vectors = tuple(primitive(times_monomial(f, expo).coeffs) for expo in monomials(n - f.degree))
-    return QVectorBasis(monomial_count(n), vectors)
+    return tuple(primitive(times_monomial(f, expo).coeffs) for expo in monomials(n - f.degree))
 
 
 def times_monomial(f: HomPoly, expo: tuple[int, int, int]) -> HomPoly:
@@ -447,17 +469,17 @@ def stacked_rank_split(b, c) -> tuple[int, HomPoly | None]:
     report = check_hypotheses(b, c, singular_points(b.arrangement))
     n = b.degree // 2
     kernel = through_points(n, report.intersection_points)
+    cols = monomial_count(n)
     images = [multiplication_image(comp.form, n) for comp in c.components if comp.degree <= n]
-    if kernel.dim == 0 or any(
-        rank(QMatrix.from_rows(img.vectors + kernel.vectors, cols=img.ambient_dim)) == img.dim
-        for img in images
+    if not kernel or any(
+        rank(QMatrix.from_rows(img + kernel, cols=cols)) == len(img) for img in images
     ):
         return 1, None
     rng = random.Random(0)
     for _ in range(10_000):
-        coeffs = [rng.randint(-9, 9) for _ in range(kernel.dim)]
-        vec = [sum(k * v[i] for k, v in zip(coeffs, kernel.vectors)) for i in range(kernel.ambient_dim)]
-        if any(vec) and not any(in_span(vec, img) for img in images):
+        coeffs = [rng.randint(-9, 9) for _ in range(len(kernel))]
+        vec = [sum(k * v[i] for k, v in zip(coeffs, kernel)) for i in range(cols)]
+        if any(vec) and not any(in_span(vec, img, cols) for img in images):
             return 2, HomPoly(n, vec).primitive()
     raise AssertionError("no witness among the seeded draws")
 

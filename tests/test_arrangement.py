@@ -15,11 +15,10 @@ from coniclines.arrangement import (
     conic_matrix_determinant,
     line_form,
     parse,
-    serialize,
 )
 from coniclines.poly import HomPoly
 
-from .conftest import generic_lines, random_arrangement
+from .conftest import generic_lines, random_arrangement, serialize
 
 PAIR1_TEXT = """
 conic C : 1 1 1 -2 -2 -2

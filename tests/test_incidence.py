@@ -14,8 +14,6 @@ from coniclines.arrangement import Arrangement, Component, conic_form, line_form
 from coniclines.incidence import (
     Combinatorics,
     ConjugatePair,
-    Tangent,
-    TwoRational,
     _line_points,
     bezout_check,
     bezout_table,
@@ -30,8 +28,10 @@ from coniclines.poly import ProjPoint
 
 from .conftest import (
     GRID,
+    LINE_EXPONENTS,
     PAIR_FILES,
     cleared,
+    coefficient,
     every_bijection,
     every_equivalence,
     generic_lines,
@@ -101,15 +101,11 @@ def test_intersect_proportional_lines_rejected():
 
 
 def test_line_conic_tangent():
-    out = intersect_line_conic(L1, CONIC)
-    assert isinstance(out, Tangent)
-    assert out.point == (0, 1, 1)
+    assert intersect_line_conic(L1, CONIC) == (((0, 1, 1), 2),)
 
 
 def test_line_conic_two_rational():
-    out = intersect_line_conic(L3, CONIC)
-    assert isinstance(out, TwoRational)
-    assert (out.p1, out.p2) == ((1, 4, 1), (4, 1, 1))
+    assert intersect_line_conic(L3, CONIC) == (((1, 4, 1), 1), ((4, 1, 1), 1))
 
 
 def test_line_conic_conjugate_pair():
@@ -121,9 +117,8 @@ def test_line_conic_conjugate_pair():
 
 
 def test_tangency_golden():
-    assert isinstance(intersect_line_conic(L1, CONIC), Tangent)
-    assert isinstance(intersect_line_conic(L2, CONIC), Tangent)
-    assert not isinstance(intersect_line_conic(L3, CONIC), Tangent)
+    mults = [[m for _, m in intersect_line_conic(l, CONIC)] for l in (L1, L2, L3)]
+    assert mults == [[2], [2], [1, 1]]
 
 
 # zero is drawn about half the time, so the a = 0 and a = b = 0 branches run often
@@ -138,8 +133,8 @@ COEFFICIENT = st.one_of(st.just(0), st.integers(-40, 40))
 @example((-2, 0, 0))
 def test_line_points_are_the_kernel_basis_of_the_row(row):
     line = Component("L", "line", line_form(row))
-    stored = [line.form.coefficient(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    assert _line_points(line) == kernel_basis(QMatrix.from_rows([stored], cols=3)).vectors
+    stored = [coefficient(line.form, e) for e in LINE_EXPONENTS]
+    assert _line_points(line) == kernel_basis(QMatrix.from_rows([stored], cols=3))
 
 
 def _tables(a: Arrangement):
@@ -216,14 +211,11 @@ def test_intersections_match_sympy_oracle():
             out = intersect_line_conic(line, conic)
             if irrational:
                 assert isinstance(out, ConjugatePair)
-            elif len(points) == 1:
-                assert isinstance(out, Tangent)
-                assert out.point == ProjPoint(*cleared(Fraction(str(c)) for c in points[0])).coords
             else:
-                assert isinstance(out, TwoRational)
-                got = {out.p1, out.p2}
-                want = {ProjPoint(*cleared(Fraction(str(c)) for c in p)).coords for p in points}
-                assert got == want
+                rational = [ProjPoint(*cleared(Fraction(str(c)) for c in p)) for p in points]
+                want = sorted(p.coords for p in rational)
+                mult = 2 if len(want) == 1 else 1  # a tangency is one double point
+                assert out == tuple((p, mult) for p in want)
 
 
 def test_bezout_on_examples():

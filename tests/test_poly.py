@@ -113,14 +113,14 @@ def test_monomial_row_matches_evaluation(f, p):
 
 
 def test_multiplication_image_dimensions():
-    assert multiplication_image(X, 1).dim == 1
-    assert multiplication_image(X, 2).dim == 3
+    assert len(multiplication_image(X, 1)) == 1
+    assert len(multiplication_image(X, 2)) == 3
     l3 = HomPoly.from_terms(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -5})
     image = multiplication_image(l3, 3)
-    assert image.dim == 6
-    assert rank(QMatrix.from_rows(image.vectors, image.ambient_dim)) == image.dim
+    assert len(image) == 6
+    assert rank(QMatrix.from_rows(image, monomial_count(3))) == len(image)
     # every basis vector is a multiple of the line
-    for v in image.vectors:
+    for v in image:
         assert sympy_divides(HomPoly(3, v), l3)
 
 
@@ -131,7 +131,7 @@ def test_multiplication_image_rejects_degree_overflow():
 
 def test_multiplication_image_rank_equals_predicted():
     image = multiplication_image(PAPER_CONIC, 4)
-    m = QMatrix.from_rows(image.vectors, cols=monomial_count(4))
+    m = QMatrix.from_rows(image, cols=monomial_count(4))
     assert rank(m) == monomial_count(2)
 
 

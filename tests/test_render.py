@@ -1,13 +1,15 @@
 """SVG rendering: golden pictures, the conic sweep, the closed-form real point."""
 
+import math
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coniclines import parse, render
@@ -109,9 +111,14 @@ def test_chart_form_at_chart_point_is_the_form_at_the_point(chart, degree, data,
 @pytest.mark.parametrize("chart", sorted(CHART_ORDER))
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(st.integers(-(10**30), 10**30), SMALL, st.integers(-(10**30), 10**30)))
+@example(coords=(10**400, 1, 1))  # a quotient past the float range in charts y and z
+@example(coords=(1, -(10**400), 1))  # and in charts x and z
 def test_chart_point_is_the_rounded_fraction(chart, coords):
     c0, c1, c2 = (coords[i] for i in CHART_ORDER[chart])
-    expected = None if c2 == 0 else (float(Fraction(c0, c2)), float(Fraction(c1, c2)))
+    try:
+        expected = None if c2 == 0 else (float(Fraction(c0, c2)), float(Fraction(c1, c2)))
+    except OverflowError:  # off every window
+        expected = None
     # repr tells -0.0 from 0.0, which the SVG text would show as "-0.00"
     assert repr(_chart_point(CHART_ORDER[chart], coords)) == repr(expected)
 
@@ -189,6 +196,29 @@ def test_conic_without_rational_points_is_one_closed_loop():
     assert points[0] == points[-1]
 
 
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "text, conic_drawn",
+    [
+        # the first line tried meets the conic in a non-square discriminant
+        (f"conic C : 1 -2 0 0 0 {BIG}\n", True),
+        # an ordinary triple point at [10^400 : 1 : 1], far off the window
+        (f"line L1 : 0 1 -1\nline L2 : 1 {-BIG} 0\nline L3 : 1 0 {-BIG}\n", False),
+    ],
+    ids=["conic", "triple_point"],
+)
+def test_render_past_the_float_range(text, conic_drawn, tmp_path, capsys):
+    src, out = tmp_path / "in.txt", tmp_path / "out.svg"
+    src.write_text(text, encoding="utf-8")
+    assert main(["render", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    svg = out.read_text(encoding="utf-8")
+    assert ('id="C"' in svg and bool(_component_paths(svg))) == conic_drawn
+    assert "<circle" not in svg
+
+
 def is_definite(q: HomPoly) -> bool:
     """Sylvester's criterion on the doubled symmetric matrix of q, or on its negative."""
     a, b, c, d, e, f = q.coeffs
@@ -206,13 +236,23 @@ def is_definite(q: HomPoly) -> bool:
 def test_real_point_is_none_exactly_for_a_definite_conic(coeffs):
     q = HomPoly(2, coeffs)
     assume(conic_matrix_determinant(q) != 0)
-    p = _real_point_on_conic(q)
+    restrictions, restrict_to_line = [], render.restrict_to_line
+
+    def recording(*args):
+        restrictions.append(restrict_to_line(*args))
+        return restrictions[-1]
+
+    with mock.patch.object(render, "restrict_to_line", recording):
+        p = _real_point_on_conic(q)
     assert (p is None) == is_definite(q)
     if p is None:
         return
-    assert any(p)
+    assert any(p) and all(type(v) is int for v in p)
+    # the point lies on the last line restricted: exact when its discriminant is a square
+    A, B, C = restrictions[-1]
+    disc = B * B - 4 * A * C
     value = value_at(q, p)
-    if all(isinstance(v, int) for v in p):
+    if math.isqrt(disc) ** 2 == disc:
         assert value == 0
     else:
         scale = sum(abs(v) for v in coeffs) * max(abs(v) for v in p) ** 2

@@ -16,13 +16,14 @@ of an input file, and only the `--window` bounds of `render` stay rational.
 import ast
 from pathlib import Path
 
+import coniclines
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "coniclines").glob("*.py"))
 PROGRAM = PACKAGE + [p for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
 
-# kept on purpose: the parse/serialize round trip is an acceptance
-# criterion, and the certificate tests replay against an independent checker
-KEPT_FOR_TESTS = {"serialize", "replay_certificate"}
+# kept on purpose: the certificate tests replay against an independent checker
+KEPT_FOR_TESTS = {"replay_certificate"}
 
 
 def _trees(paths):
@@ -54,6 +55,10 @@ def used_names() -> set[str]:
 
 def test_every_public_def_has_a_program_caller():
     assert public_defs() - used_names() - KEPT_FOR_TESTS == set()
+
+
+def test_every_export_resolves():
+    assert [name for name in coniclines.__all__ if not hasattr(coniclines, name)] == []
 
 
 def fractions_importers() -> set[str]:
