@@ -18,7 +18,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from coniclines import parse  # noqa: E402
 from coniclines.moduli import minimality_check, minimality_report_text  # noqa: E402
-from coniclines.render import RenderConfig, render_svg  # noqa: E402
+from coniclines.render import render_svg  # noqa: E402
 from coniclines.splitting import certificate_report, zariski_certificate  # noqa: E402
 
 
@@ -52,7 +52,7 @@ def main() -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for _, f1, f2 in pairs:
             for name in (f1, f2):
-                svg = render_svg(load(name), RenderConfig())
+                svg = render_svg(load(name))
                 target = outdir / (Path(name).stem + ".svg")
                 target.write_text(svg, encoding="utf-8")
                 print(f"wrote {target}")

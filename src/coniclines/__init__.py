@@ -10,7 +10,6 @@ from .arrangement import (
     Component,
     HypothesisError,
     ParseError,
-    SubCurve,
     parse,
 )
 from .incidence import (
@@ -58,7 +57,6 @@ __all__ = [
     "QMatrix",
     "SingularPoint",
     "SplitHypothesisReport",
-    "SubCurve",
     "ZariskiCertificate",
     "check_hypotheses",
     "combinatorics",

@@ -142,7 +142,7 @@ class Arrangement:
             forms[comp.form] = comp.label
             conic = conic or comp.kind == "conic"
         for name, members in self.subcurves.items():
-            _check_subcurve(labels, name, members)
+            check_subcurve(labels, name, members)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -151,6 +151,10 @@ class Arrangement:
     @property
     def degree(self) -> int:
         return sum(c.degree for c in self.components)
+
+    def degree_of(self, labels: Iterable[str]) -> int:
+        """The degree of the union of the components with these labels."""
+        return sum(self.component(l).degree for l in labels)
 
     def component(self, label: str) -> Component:
         for c in self.components:
@@ -169,13 +173,14 @@ class Arrangement:
     def lines(self) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.kind == "line")
 
-    def subcurve(self, name: str) -> "SubCurve":
+    def subcurve(self, name: str) -> tuple[str, ...]:
+        """The labels of the declared sub-curve `name`."""
         if name not in self.subcurves:
             raise ValueError(f"arrangement declares no sub-curve named {name!r}")
-        return SubCurve(self, self.subcurves[name])
+        return self.subcurves[name]
 
 
-def _check_subcurve(labels: set[str], name: str, members: tuple[str, ...]) -> None:
+def check_subcurve(labels: set[str], name: str, members: tuple[str, ...]) -> None:
     """Reject a sub-curve that is empty, names a label not in `labels` or repeats one."""
     if not members:
         raise ValueError(f"sub-curve {name} is empty")
@@ -184,28 +189,6 @@ def _check_subcurve(labels: set[str], name: str, members: tuple[str, ...]) -> No
             raise ValueError(f"unknown label {member} in sub-curve {name}")
         if member in members[:i]:
             raise ValueError(f"sub-curve {name} repeats label {member}")
-
-
-@dataclass(frozen=True)
-class SubCurve:
-    """A union of components of an arrangement, selected by label."""
-
-    arrangement: Arrangement
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValueError("sub-curve is empty")
-        for l in self.labels:
-            self.arrangement.component(l)
-
-    @property
-    def components(self) -> tuple[Component, ...]:
-        return tuple(self.arrangement.component(l) for l in self.labels)
-
-    @property
-    def degree(self) -> int:
-        return sum(c.degree for c in self.components)
 
 
 def parse(text: str) -> Arrangement:
@@ -271,7 +254,7 @@ def parse(text: str) -> Arrangement:
                 raise ParseError(f"duplicate sub-curve name {name}", lineno, name_col)
             members = tuple(member for member, _col in tokens[3:])
             try:
-                _check_subcurve({c.label for c in components}, name, members)
+                check_subcurve({c.label for c in components}, name, members)
             except ValueError as exc:
                 arrangement()  # a faulty component above this line is reported first
                 raise ParseError(str(exc), lineno, name_col)

@@ -31,7 +31,7 @@ from .incidence import (
 )
 from .moduli import minimality_check, minimality_report_text
 from .poly import digits
-from .render import RenderConfig, render_svg
+from .render import WINDOW, render_svg
 from .splitting import analyze_split, certificate_report, zariski_certificate
 
 EXIT_OK = 0
@@ -76,8 +76,7 @@ def cmd_analyze(args) -> int:
     if a.subcurves:
         out.append("sub-curves:")
         for name, members in a.subcurves.items():
-            degree = a.subcurve(name).degree
-            out.append(f"  {name} = {' '.join(members)}  (degree {degree})")
+            out.append(f"  {name} = {' '.join(members)}  (degree {a.degree_of(members)})")
 
     points = singular_points(a)
     if not points:
@@ -161,7 +160,7 @@ def cmd_compare(args) -> int:
 
 def cmd_split(args) -> int:
     a = _load(args.file)
-    analysis = analyze_split(a.subcurve(args.branch), a.subcurve(args.curve))
+    analysis = analyze_split(a, a.subcurve(args.branch), a.subcurve(args.curve))
     # analyze_split raises unless every hypothesis holds
     out = [
         f"split of {args.file}",
@@ -172,9 +171,9 @@ def cmd_split(args) -> int:
         "  C is nodal with smooth components: yes",
         "  B meets C outside the nodes of C: yes",
         "  every local intersection multiplicity of B and C is 2: yes",
-        f"intersection points ({len(analysis.report.intersection_points)}):",
+        f"intersection points ({len(analysis.intersection_points)}):",
     ]
-    for p in analysis.report.intersection_points:
+    for p in analysis.intersection_points:
         out.append(f"  {p}")
     out.append(
         f"curves of degree {analysis.b_degree // 2} through all of them: "
@@ -210,18 +209,12 @@ def cmd_render(args) -> int:
             window.append(Fraction(*parse_rational(w)))
         except ValueError:
             raise ValueError(f"--window takes integers or fractions p/q, got {w!r}") from None
-    # RenderConfig rejects a degenerate window with a ValueError, which main reports
-    cfg = (
-        RenderConfig(chart=args.chart, window=tuple(window))
-        if window
-        else RenderConfig(chart=args.chart)
-    )
-    svg = render_svg(a, cfg)
+    # render_svg refuses a degenerate window with a ValueError, which main reports
+    svg = render_svg(a, args.chart, tuple(window) or WINDOW)
     try:
         Path(args.output).write_text(svg, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"cannot write {args.output}: {exc.strerror}")
     print(f"wrote {args.output}")
     return EXIT_OK
 

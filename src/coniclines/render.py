@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
@@ -37,24 +36,7 @@ CHART_ORDER = {"x": (1, 2, 0), "y": (0, 2, 1), "z": (0, 1, 2)}
 STROKE_WIDTH = 0.08
 SAMPLE_COUNT = 256
 SIZE = 640
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    chart: str = "z"
-    window: tuple[Fraction, Fraction, Fraction, Fraction] = (
-        Fraction(-12),
-        Fraction(12),
-        Fraction(-12),
-        Fraction(12),
-    )
-
-    def __post_init__(self):
-        if self.chart not in CHART_ORDER:
-            raise ValueError(f"chart must be one of {tuple(CHART_ORDER)}")
-        xmin, xmax, ymin, ymax = self.window
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError("window is degenerate")
+WINDOW = (Fraction(-12), Fraction(12), Fraction(-12), Fraction(12))  # xmin, xmax, ymin, ymax
 
 
 def _chart_point(order: tuple[int, int, int], coords) -> tuple[float, float] | None:
@@ -77,11 +59,34 @@ def _chart_form(order: tuple[int, int, int], form: HomPoly) -> HomPoly:
 
 
 class _Canvas:
-    def __init__(self, cfg: RenderConfig):
-        xmin, xmax, ymin, ymax = (float(v) for v in cfg.window)
+    """A chart and its window: the exact bounds for clipping, their floats for pixels.
+
+    In floats, a window whose width or height is not positive is degenerate.
+    One whose scale or pixel height is not finite and positive, or whose
+    width or height is not finite with the 5% margin that the conic is drawn
+    into on each side, is outside the float range: no pixel coordinate of a
+    window that passes overflows.
+    """
+
+    def __init__(self, chart: str, window: tuple[Fraction, ...]):
+        if chart not in CHART_ORDER:
+            raise ValueError(f"chart must be one of {tuple(CHART_ORDER)}")
+        self.order = CHART_ORDER[chart]
+        self.window = window
+        outside = "window is outside the float range"
+        try:
+            xmin, xmax, ymin, ymax = (float(v) for v in window)
+        except OverflowError:
+            raise ValueError(outside) from None
         self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
-        self.scale = SIZE / (xmax - xmin)
-        self.height = (ymax - ymin) * self.scale
+        width, height = xmax - xmin, ymax - ymin
+        if not (width > 0 and height > 0):
+            raise ValueError("window is degenerate")
+        self.scale = SIZE / width
+        self.height = height * self.scale
+        finite = max(1.1 * width, 1.1 * height, self.scale, self.height) < math.inf
+        if not (finite and self.height > 0):  # a wide, flat window's height can underflow
+            raise ValueError(outside)
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         return (
@@ -117,12 +122,12 @@ def _clip_line_to_window(
     return hits[0], hits[-1]
 
 
-def _line_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
-    f = _chart_form(CHART_ORDER[cfg.chart], form)
+def _line_paths(canvas: _Canvas, form: HomPoly) -> list[str]:
+    f = _chart_form(canvas.order, form)
     a, b, c = f.coeffs
     if a == 0 and b == 0:
         return []  # the chart's line at infinity
-    seg = _clip_line_to_window(a, b, c, cfg.window)
+    seg = _clip_line_to_window(a, b, c, canvas.window)
     if seg is None:
         return []
     (u1, v1), (u2, v2) = seg
@@ -199,8 +204,7 @@ def _conic_samples(q: HomPoly, p0: tuple, count: int) -> list[tuple]:
 def _polylines_from_chart_points(
     canvas: _Canvas, pts: list[tuple[float, float] | None]
 ) -> list[str]:
-    window_diag = ((canvas.xmax - canvas.xmin) ** 2 + (canvas.ymax - canvas.ymin) ** 2) ** 0.5
-    jump = 0.4 * window_diag
+    jump = 0.4 * math.hypot(canvas.xmax - canvas.xmin, canvas.ymax - canvas.ymin)
     margin_x = 0.05 * (canvas.xmax - canvas.xmin)
     margin_y = 0.05 * (canvas.ymax - canvas.ymin)
 
@@ -221,7 +225,7 @@ def _polylines_from_chart_points(
             continue
         if run:
             prev = run[-1]
-            if ((p[0] - prev[0]) ** 2 + (p[1] - prev[1]) ** 2) ** 0.5 > jump:
+            if math.hypot(p[0] - prev[0], p[1] - prev[1]) > jump:
                 if len(run) >= 2:
                     paths.append("M " + " L ".join(canvas.fmt(*q) for q in run))
                 run = []
@@ -231,8 +235,8 @@ def _polylines_from_chart_points(
     return paths
 
 
-def _conic_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]:
-    q = _chart_form(CHART_ORDER[cfg.chart], form)
+def _conic_paths(canvas: _Canvas, form: HomPoly) -> list[str]:
+    q = _chart_form(canvas.order, form)
     p0 = _real_point_on_conic(q)
     if p0 is None:
         return []  # a definite conic has no real points
@@ -242,10 +246,15 @@ def _conic_paths(cfg: RenderConfig, canvas: _Canvas, form: HomPoly) -> list[str]
     return _polylines_from_chart_points(canvas, pts)
 
 
-def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:
-    """Render the arrangement to a deterministic standalone SVG document."""
-    cfg = cfg or RenderConfig()
-    canvas = _Canvas(cfg)
+def render_svg(
+    a: Arrangement, chart: str = "z", window: tuple[Fraction, ...] = WINDOW
+) -> str:
+    """Render the arrangement to a deterministic standalone SVG document.
+
+    `window` is (xmin, xmax, ymin, ymax) in the chart's coordinates, and
+    `_Canvas` says which windows are refused.
+    """
+    canvas = _Canvas(chart, window)
     w = SIZE
     h = canvas.height
     out = [
@@ -269,9 +278,9 @@ def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:
     for idx, comp in enumerate(a.components):
         color = PALETTE[idx % len(PALETTE)]
         if comp.kind == "line":
-            paths = _line_paths(cfg, canvas, comp.form)
+            paths = _line_paths(canvas, comp.form)
         else:
-            paths = _conic_paths(cfg, canvas, comp.form)
+            paths = _conic_paths(canvas, comp.form)
         out.append(
             f'  <g class="component" id="{comp.label}" stroke="{color}" '
             f'stroke-width="{stroke_px:.2f}" fill="none">'
@@ -288,7 +297,7 @@ def render_svg(a: Arrangement, cfg: RenderConfig | None = None) -> str:
     ]
     out.append('  <g class="markers" fill="#000000" font-size="12" font-family="monospace">')
     for pt in marked:
-        cc = _chart_point(CHART_ORDER[cfg.chart], pt.location.coords)
+        cc = _chart_point(canvas.order, pt.location.coords)
         if cc is None:
             continue
         u, v = cc

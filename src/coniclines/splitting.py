@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, HypothesisError, SubCurve
+from .arrangement import Arrangement, HypothesisError, check_subcurve
 from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
 from .linalg import QMatrix, QVector, kernel_basis
 from .poly import HomPoly, ProjPoint, divides, monomial_count, monomial_row
@@ -44,29 +44,29 @@ class SplitHypothesisReport:
         return not self.violations
 
 
-def _validate_split(b: SubCurve, c: SubCurve) -> Arrangement:
-    if b.arrangement is not c.arrangement:
-        raise ValueError("B and C must be sub-curves of the same arrangement")
-    a = b.arrangement
-    bset, cset = set(b.labels), set(c.labels)
+def check_hypotheses(
+    a: Arrangement, b: tuple[str, ...], c: tuple[str, ...], points: tuple[SingularPoint, ...]
+) -> SplitHypothesisReport:
+    """Evaluate the four hypotheses of the splitting criterion for (B, C) at these points.
+
+    B and C are label tuples.  A split that is not a partition of the
+    arrangement into two nonempty sides is an input error (ValueError),
+    raised before any hypothesis is evaluated.
+    """
+    labels = set(a.labels)
+    check_subcurve(labels, "B", b)
+    check_subcurve(labels, "C", c)
+    bset, cset = set(b), frozenset(c)
     if bset & cset:
         raise ValueError(f"B and C share components: {sorted(bset & cset)}")
-    if bset | cset != set(a.labels):
-        missing = sorted(set(a.labels) - bset - cset)
-        raise ValueError(f"B and C do not cover the arrangement: missing {missing}")
-    return a
+    missing = labels - bset - cset
+    if missing:
+        raise ValueError(f"B and C do not cover the arrangement: missing {sorted(missing)}")
 
-
-def check_hypotheses(
-    b: SubCurve, c: SubCurve, points: tuple[SingularPoint, ...]
-) -> SplitHypothesisReport:
-    """Evaluate the four hypotheses of the splitting criterion for (B, C) at these points."""
-    _validate_split(b, c)
-    bset, cset = set(b.labels), frozenset(c.labels)
     violations: list[str] = []
-
-    if b.degree % 2:
-        violations.append(f"deg B = {b.degree} is odd")
+    b_degree = a.degree_of(b)
+    if b_degree % 2:
+        violations.append(f"deg B = {b_degree} is odd")
 
     # C alone must be nodal (its components are smooth by construction)
     for pt in points:
@@ -126,22 +126,25 @@ def through_points(n: int, pts: list[ProjPoint] | tuple[ProjPoint, ...]) -> tupl
 class SplitAnalysis:
     """Everything the `split` command reports for one (B, C) split.
 
-    `kernel` is a basis of the curves of degree b_degree // 2 through all of
-    `report.intersection_points`.
+    `intersection_points` are the points of B ∩ C, sorted, and `kernel` is a
+    basis of the curves of degree b_degree // 2 through all of them.
     """
 
     b_labels: tuple[str, ...]
     c_labels: tuple[str, ...]
     b_degree: int
     c_degree: int
-    report: SplitHypothesisReport
+    intersection_points: tuple[ProjPoint, ...]
     kernel: tuple[QVector, ...]
     connected: int
     witness: HomPoly | None
 
 
 def analyze_split(
-    b: SubCurve, c: SubCurve, report: SplitHypothesisReport | None = None
+    a: Arrangement,
+    b: tuple[str, ...],
+    c: tuple[str, ...],
+    report: SplitHypothesisReport | None = None,
 ) -> SplitAnalysis:
     """Hypotheses, kernel, connected number and witness of one split.
 
@@ -151,22 +154,23 @@ def analyze_split(
     the kernel basis that is one, else the first such moment-curve point.
     """
     if report is None:
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        report = check_hypotheses(a, b, c, singular_points(a))
     if not report.ok:
         raise HypothesisError(
             "splitting hypotheses violated: " + "; ".join(report.violations)
         )
-    n = b.degree // 2
+    b_degree = a.degree_of(b)
+    n = b_degree // 2
     kernel = through_points(n, report.intersection_points)
     # a higher-degree component divides no degree-n form
-    forms = [comp.form for comp in c.components if comp.degree <= n]
+    forms = [comp.form for comp in map(a.component, c) if comp.degree <= n]
     value, witness = 1, None
     # every curve of the system contains a component exactly when one
     # component divides every basis vector of the kernel
     if kernel and all(any(not divides(f, v, n) for v in kernel) for f in forms):
         value, witness = 2, _find_witness(n, kernel, forms)
     return SplitAnalysis(
-        b.labels, c.labels, b.degree, c.degree, report, kernel, value, witness
+        b, c, b_degree, a.degree_of(c), report.intersection_points, kernel, value, witness
     )
 
 
@@ -212,26 +216,25 @@ def zariski_certificate(
     split2: tuple[str, str],
 ) -> ZariskiCertificate:
     """Run the whole pipeline: equivalences, rigidity, connected numbers."""
-    b1 = a1.subcurve(split1[0])
-    c1 = a1.subcurve(split1[1])
-    b2 = a2.subcurve(split2[0])
-    c2 = a2.subcurve(split2[1])
+    b1, c1 = map(a1.subcurve, split1)
+    b2, c2 = map(a2.subcurve, split2)
     # both reports first: a split error (ValueError) takes precedence over
     # the hypothesis violations that `analyze_split` raises below
     points1, points2 = singular_points(a1), singular_points(a2)
-    report1, report2 = check_hypotheses(b1, c1, points1), check_hypotheses(b2, c2, points2)
+    report1 = check_hypotheses(a1, b1, c1, points1)
+    report2 = check_hypotheses(a2, b2, c2, points2)
     eqs = equivalences(combinatorics(a1, points1), combinatorics(a2, points2))
     found = bool(eqs)
     reasons: list[str] = []
     if not found:
         reasons.append("the arrangements are combinatorially distinct")
 
-    rigid = found and eqs.map_onto(c1.labels, c2.labels)
+    rigid = found and eqs.map_onto(c1, c2)
     if found and not rigid:
         reasons.append("some equivalence does not preserve the (B, C) split")
 
-    an1 = analyze_split(b1, c1, report1)
-    an2 = analyze_split(b2, c2, report2)
+    an1 = analyze_split(a1, b1, c1, report1)
+    an2 = analyze_split(a2, b2, c2, report2)
     values = (an1.connected, an2.connected)
     if values[0] == values[1]:
         reasons.append(f"connected numbers agree ({values[0]} = {values[1]})")
@@ -257,7 +260,7 @@ def certificate_report(
         lines.append(f"  {name}:")
         lines.append(f"    B = {{{', '.join(an.b_labels)}}}  (degree {an.b_degree})")
         lines.append(f"    C = {{{', '.join(an.c_labels)}}}  (degree {an.c_degree})")
-        lines.append(f"    B ∩ C: {len(an.report.intersection_points)} rational points")
+        lines.append(f"    B ∩ C: {len(an.intersection_points)} rational points")
         lines.append(
             f"    curves of degree {an.b_degree // 2} through them: "
             f"projective dimension {len(an.kernel) - 1}"

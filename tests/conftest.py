@@ -458,7 +458,7 @@ def times_monomial(f: HomPoly, expo: tuple[int, int, int]) -> HomPoly:
     )
 
 
-def stacked_rank_split(b, c) -> tuple[int, HomPoly | None]:
+def stacked_rank_split(a: Arrangement, b, c) -> tuple[int, HomPoly | None]:
     """(connected number, witness) of a split by rank tests on stacked matrices.
 
     The reference that division is compared against: the kernel K lies in
@@ -466,11 +466,11 @@ def stacked_rank_split(b, c) -> tuple[int, HomPoly | None]:
     rank, and the witness is the first of the same 10,000 seeded draws
     that lies in no c·S by `in_span`.
     """
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
-    n = b.degree // 2
+    report = check_hypotheses(a, b, c, singular_points(a))
+    n = a.degree_of(b) // 2
     kernel = through_points(n, report.intersection_points)
     cols = monomial_count(n)
-    images = [multiplication_image(comp.form, n) for comp in c.components if comp.degree <= n]
+    images = [multiplication_image(comp.form, n) for comp in map(a.component, c) if comp.degree <= n]
     if not kernel or any(
         rank(QMatrix.from_rows(img + kernel, cols=cols)) == len(img) for img in images
     ):

@@ -89,7 +89,7 @@ def braces_in(text: str, header: str) -> set[frozenset]:
 
 
 def split_of(a):
-    return a.subcurve("B"), a.subcurve("CC")
+    return a, a.subcurve("B"), a.subcurve("CC")
 
 
 def test_criterion_1_singularity_tables(capsys):
@@ -109,10 +109,10 @@ def test_criterion_1_singularity_tables(capsys):
 def test_criterion_2_matrix_dimensions():
     expected = {"pair1_B1": 1, "pair1_B2": 0, "pair2_B1": 0, "pair2_B2": 1}
     for name, dim in expected.items():
-        b, c = split_of(load(name))
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        a, b, c = split_of(load(name))
+        report = check_hypotheses(a, b, c, singular_points(a))
         assert report.ok and len(report.intersection_points) == 9, name
-        kernel = through_points(b.degree // 2, report.intersection_points)
+        kernel = through_points(a.degree_of(b) // 2, report.intersection_points)
         assert len(kernel) - 1 == dim, name
     print(
         "PASS criterion 2: projective dimensions (1,0) for pair 1 and (0,1) for pair 2"
@@ -122,16 +122,16 @@ def test_criterion_2_matrix_dimensions():
 def test_criterion_3_connected_numbers():
     expected = {"pair1_B1": 2, "pair1_B2": 1, "pair2_B1": 1, "pair2_B2": 2}
     for name, value in expected.items():
-        b, c = split_of(load(name))
-        analysis = analyze_split(b, c)
+        a, b, c = split_of(load(name))
+        analysis = analyze_split(a, b, c)
         witness = analysis.witness
         assert analysis.connected == value, name
         if value == 2:
             assert witness is not None, name
-            report = check_hypotheses(b, c, singular_points(b.arrangement))
+            report = check_hypotheses(a, b, c, singular_points(a))
             for p in report.intersection_points:
                 assert value_at(witness, p.coords) == 0, name
-            for comp in c.components:
+            for comp in map(a.component, c):
                 assert not sympy_divides(witness, comp.form), name
     print(
         "PASS criterion 3: connected numbers (2,1) and (1,2); witnesses vanish on all "
@@ -219,8 +219,8 @@ def test_criterion_7_property_suites():
 
     # kernel vanishing is exact on the examples
     for name in PAIR_FILES:
-        b, c = split_of(load(name))
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        a, b, c = split_of(load(name))
+        report = check_hypotheses(a, b, c, singular_points(a))
         kernel = through_points(3, report.intersection_points)
         for f in (HomPoly(3, v) for v in kernel):
             for p in report.intersection_points:

@@ -38,8 +38,9 @@ def test_parse_full_pair1(pair1_b1):
     assert len(pair1_b1.components) == 8
     assert pair1_b1.degree == 9
     assert set(pair1_b1.subcurves) == {"CC", "B"}
-    assert pair1_b1.subcurve("CC").degree == 3
-    assert pair1_b1.subcurve("B").degree == 6
+    assert pair1_b1.subcurve("CC") == ("L1", "L2", "L3")
+    assert pair1_b1.degree_of(pair1_b1.subcurve("CC")) == 3
+    assert pair1_b1.degree_of(pair1_b1.subcurve("B")) == 6
 
 
 def test_parse_single_line():

@@ -494,6 +494,41 @@ def test_render_negative_fraction_window(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+OUTSIDE = "window is outside the float range"
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ((-(10**400), 10**400, -1, 1), OUTSIDE),  # bounds past the float range
+        ((0, f"1/{10**400}", 0, f"1/{10**400}"), "window is degenerate"),  # rounds to 0.0
+        ((-(10**308), 10**308, -1, 1), OUTSIDE),  # a width past the float range
+        ((0, 1, 0, 10**308), OUTSIDE),  # a pixel height past the float range
+        ((0, f"1/{10**320}", 0, 1), OUTSIDE),  # a subnormal width: an infinite scale
+    ],
+    ids=["bounds", "rounds_to_zero", "width", "pixel_height", "scale"],
+)
+def test_render_window_outside_the_float_range_exit_1(capsys, tmp_path, window, message):
+    out_file = tmp_path / "window.svg"
+    code, out, err = run(
+        capsys, "render", P1B1, "-o", str(out_file), "--window", *map(str, window)
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+def test_render_huge_window_has_finite_pixels(capsys, tmp_path):
+    # the window diagonal, 1.4e200, squares past the float range
+    out_file = tmp_path / "window.svg"
+    window = ("0", str(10**200), "0", str(10**200))
+    assert run(capsys, "render", P1B1, "-o", str(out_file), "--window", *window) == (
+        0, f"wrote {out_file}\n", ""
+    )
+    svg = out_file.read_text()
+    assert 'viewBox="0 0 640 640.00"' in svg
+    assert re.search(r"\b(nan|inf)\b", svg) is None
+
+
 def test_closed_stdout_ends_quietly():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -523,6 +558,15 @@ def test_render_unwritable_output_exit_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot write {out_file}")
+
+
+def test_render_command_raises_on_a_failed_write(tmp_path):
+    # the command raises like a failed read; only main turns it into exit 1
+    out_file = tmp_path / "missing_dir" / "out.svg"
+    args = build_parser().parse_args(["render", P1B1, "-o", str(out_file)])
+    with pytest.raises(ValueError) as exc:
+        cli.cmd_render(args)
+    assert str(exc.value) == f"cannot write {out_file}: No such file or directory"
 
 
 def test_render_other_charts(capsys, tmp_path):

@@ -18,7 +18,6 @@ from coniclines.cli import main
 from coniclines.poly import HomPoly, ProjPoint, monomial_count
 from coniclines.render import (
     CHART_ORDER,
-    RenderConfig,
     _chart_form,
     _chart_point,
     _conic_samples,
@@ -127,7 +126,7 @@ def test_marker_on_a_negative_third_coordinate_is_not_drawn_at_minus_zero():
     # the triple point [0 : 1 : -1] lies on the window's left edge
     a = parse("line L1 : 1 0 0\nline L2 : 0 1 1\nline L3 : 1 1 1\n")
     window = (Fraction(0), Fraction(2), Fraction(-2), Fraction(2))
-    svg = render_svg(a, RenderConfig(window=window))
+    svg = render_svg(a, window=window)
     assert '<circle cx="0.00" cy="960.00" r="3.5"/>' in svg
 
 

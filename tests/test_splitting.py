@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniclines.arrangement import Arrangement, Component, HypothesisError, SubCurve, parse
+from coniclines.arrangement import Arrangement, Component, HypothesisError, parse
 from coniclines import linalg, splitting
 from coniclines.linalg import QMatrix
 from coniclines.poly import HomPoly, ProjPoint, divides, monomial_count
@@ -52,7 +52,7 @@ PAIR1_B1_POINTS = {
 
 
 def split_of(a):
-    return a.subcurve("B"), a.subcurve("CC")
+    return a, a.subcurve("B"), a.subcurve("CC")
 
 
 def connected_numbers(cert):
@@ -60,8 +60,8 @@ def connected_numbers(cert):
 
 
 def test_pair1_hypotheses_pass(pair1_b1):
-    b, c = split_of(pair1_b1)
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    a, b, c = split_of(pair1_b1)
+    report = check_hypotheses(a, b, c, singular_points(a))
     assert report.ok
     assert report.violations == ()
     assert len(report.intersection_points) == 9
@@ -70,24 +70,24 @@ def test_pair1_hypotheses_pass(pair1_b1):
 
 @pytest.mark.parametrize("name", ["pair1_B2", "pair2_B1", "pair2_B2"])
 def test_other_examples_hypotheses_pass(name):
-    b, c = split_of(load(name))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    a, b, c = split_of(load(name))
+    report = check_hypotheses(a, b, c, singular_points(a))
     assert report.ok
     assert len(report.intersection_points) == 9
 
 
 def test_odd_degree_branch_rejected(pair1_b1):
-    b = SubCurve(pair1_b1, ("L1",))
-    c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    b = ("L1",)
+    c = ("C", "L2", "L3", "L4", "L5", "L6", "L7")
+    report = check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
     assert "deg B = 1 is odd" in report.violations
     assert any("odd" in v for v in report.violations)
 
 
 def test_violation_names_a_triple_point_with_an(pair1_b1):
-    b = SubCurve(pair1_b1, ("L1",))
-    c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    b = ("L1",)
+    c = ("C", "L2", "L3", "L4", "L5", "L6", "L7")
+    report = check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
     triple = [v for v in report.violations if "triple" in v]
     assert triple and all(v.startswith("C has an ordinary triple point at [") for v in triple)
     assert not any(" a o" in v for v in report.violations)
@@ -95,9 +95,9 @@ def test_violation_names_a_triple_point_with_an(pair1_b1):
 
 def test_non_nodal_c_rejected(pair1_b1):
     # putting the tangent line L1 with the conic makes C carry a tacnode
-    c = SubCurve(pair1_b1, ("C", "L1"))
-    b = SubCurve(pair1_b1, ("L2", "L3", "L4", "L5", "L6", "L7"))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    c = ("C", "L1")
+    b = ("L2", "L3", "L4", "L5", "L6", "L7")
+    report = check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
     assert "C has a tacnode at [0 : 1 : 1]" in report.violations
     assert any("tacnode" in v for v in report.violations)
 
@@ -112,9 +112,9 @@ line L4 : 1 2 0
 """
     a = parse(text)
     # L1..L3 all pass through [0:0:1]; C = {L1, L2} has its node there
-    b = SubCurve(a, ("L3", "L4"))
-    c = SubCurve(a, ("L1", "L2"))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    b = ("L3", "L4")
+    c = ("L1", "L2")
+    report = check_hypotheses(a, b, c, singular_points(a))
     assert any("passes through a singular point of C" in v for v in report.violations)
 
 
@@ -125,9 +125,9 @@ line L1 : 0 1 -2
 line L2 : 0 1 -3
 """
     a = parse(text)
-    b = SubCurve(a, ("L1", "L2"))  # even degree
-    c = SubCurve(a, ("Q",))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    b = ("L1", "L2")  # even degree
+    c = ("Q",)
+    report = check_hypotheses(a, b, c, singular_points(a))
     assert any(
         "irrational conjugate pair" in v and "rational support is required" in v
         for v in report.violations
@@ -136,14 +136,37 @@ line L2 : 0 1 -3
 
 
 def test_split_must_partition(pair1_b1):
-    b = SubCurve(pair1_b1, ("C", "L4"))
-    c = SubCurve(pair1_b1, ("L1", "L2", "L3"))
-    with pytest.raises(ValueError, match="cover"):
-        check_hypotheses(b, c, singular_points(b.arrangement))
-    overlapping = SubCurve(pair1_b1, ("C", "L1", "L4", "L5", "L6", "L7"))
-    c2 = SubCurve(pair1_b1, ("L1", "L2", "L3"))
-    with pytest.raises(ValueError, match="share"):
-        check_hypotheses(overlapping, c2, singular_points(pair1_b1))
+    b = ("C", "L4")
+    c = ("L1", "L2", "L3")
+    missing = r"do not cover the arrangement: missing \['L5', 'L6', 'L7'\]"
+    with pytest.raises(ValueError, match=missing):
+        check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+    overlapping = ("C", "L1", "L4", "L5", "L6", "L7")
+    c2 = ("L1", "L2", "L3")
+    with pytest.raises(ValueError, match=r"share components: \['L1'\]"):
+        check_hypotheses(pair1_b1, overlapping, c2, singular_points(pair1_b1))
+
+
+B1, CC1 = ("C", "L4", "L5", "L6", "L7"), ("L1", "L2", "L3")
+
+
+@pytest.mark.parametrize(
+    "b, c, message",
+    [
+        (B1 + ("X",), CC1, "unknown label X in sub-curve B"),
+        (B1, ("L1", "L2", "L3", "L2"), "sub-curve C repeats label L2"),
+        ((), B1 + CC1, "sub-curve B is empty"),
+        (B1 + CC1, (), "sub-curve C is empty"),
+    ],
+)
+def test_split_labels_are_checked(pair1_b1, b, c, message):
+    # label tuples reach check_hypotheses unchecked: each fault is one input error
+    with pytest.raises(ValueError) as exc:
+        check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, HypothesisError)
+    with pytest.raises(ValueError, match=message):
+        analyze_split(pair1_b1, b, c)
 
 
 def test_evaluation_matrix_ranks():
@@ -151,8 +174,8 @@ def test_evaluation_matrix_ranks():
 
     expected = {"pair1_B1": 8, "pair1_B2": 9}
     for name, r in expected.items():
-        b, c = split_of(load(name))
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        a, b, c = split_of(load(name))
+        report = check_hypotheses(a, b, c, singular_points(a))
         m = QMatrix.from_rows(
             [monomial_row(3, p) for p in report.intersection_points], cols=10
         )
@@ -169,8 +192,8 @@ def test_through_points_projective_dimensions():
     }
     for name, dim in expected.items():
         a = load(name)
-        b, c = split_of(a)
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        _, b, c = split_of(a)
+        report = check_hypotheses(a, b, c, singular_points(a))
         kernel = through_points(3, report.intersection_points)
         assert len(kernel) - 1 == dim, name
 
@@ -178,19 +201,19 @@ def test_through_points_projective_dimensions():
 def test_kernel_contains_c_part_polynomial():
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
-        b, c = split_of(a)
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        _, b, c = split_of(a)
+        report = check_hypotheses(a, b, c, singular_points(a))
         kernel = through_points(3, report.intersection_points)
-        product = sp.Mul(*(to_sympy(comp.form) for comp in c.components))
-        vec = from_sympy(product, c.degree).primitive().coeffs
+        product = sp.Mul(*(to_sympy(comp.form) for comp in map(a.component, c)))
+        vec = from_sympy(product, a.degree_of(c)).primitive().coeffs
         assert in_span(vec, kernel, monomial_count(3))
 
 
 def test_kernel_vectors_vanish_at_all_points():
     for name in ("pair1_B1", "pair2_B2"):
         a = load(name)
-        b, c = split_of(a)
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        _, b, c = split_of(a)
+        report = check_hypotheses(a, b, c, singular_points(a))
         kernel = through_points(3, report.intersection_points)
         for f in (HomPoly(3, v) for v in kernel):
             for p in report.intersection_points:
@@ -215,8 +238,8 @@ def test_connected_numbers_of_both_pairs():
         "pair2_B2": 2,
     }
     for name, expected in values.items():
-        b, c = split_of(load(name))
-        analysis = analyze_split(b, c)
+        a, b, c = split_of(load(name))
+        analysis = analyze_split(a, b, c)
         assert analysis.connected == expected, name
         # every system is nonempty, so each value 1 comes from a component
         # of C containing the whole kernel, not from an empty kernel
@@ -225,23 +248,23 @@ def test_connected_numbers_of_both_pairs():
 
 
 def test_witness_properties_pair1():
-    b, c = split_of(load("pair1_B1"))
-    analysis = analyze_split(b, c)
+    a, b, c = split_of(load("pair1_B1"))
+    analysis = analyze_split(a, b, c)
     witness = analysis.witness
     assert analysis.connected == 2
     assert witness is not None
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    report = check_hypotheses(a, b, c, singular_points(a))
     for p in report.intersection_points:
         assert value_at(witness, p.coords) == 0
-    for comp in c.components:
+    for comp in map(a.component, c):
         assert not sympy_divides(witness, comp.form)
 
 
 def test_witness_properties_pair2():
-    b, c = split_of(load("pair2_B2"))
-    analysis = analyze_split(b, c)
+    a, b, c = split_of(load("pair2_B2"))
+    analysis = analyze_split(a, b, c)
     assert analysis.connected == 2
-    for comp in c.components:
+    for comp in map(a.component, c):
         assert not sympy_divides(analysis.witness, comp.form)
 
 
@@ -249,10 +272,10 @@ def test_divisibility_dual_oracle():
     # division, span-membership and rank verdicts == sympy's exact polynomial division, on K's basis
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
-        b, c = split_of(a)
-        report = check_hypotheses(b, c, singular_points(b.arrangement))
+        _, b, c = split_of(a)
+        report = check_hypotheses(a, b, c, singular_points(a))
         K = through_points(3, report.intersection_points)
-        for comp in c.components:
+        for comp in map(a.component, c):
             if comp.degree > 3:
                 continue
             img = multiplication_image(comp.form, 3)
@@ -269,10 +292,10 @@ def test_division_agrees_with_stacked_ranks_on_tangent_splits(m):
     rng = random.Random(2000 + m)
     for _ in range(2):
         a = tangent_split(rng, m)
-        b, c = a.subcurve("B"), a.subcurve("CC")
-        analysis = analyze_split(b, c)
+        _, b, c = split_of(a)
+        analysis = analyze_split(a, b, c)
         assert len(analysis.kernel) == (m + 1) * (m + 2) // 2 - 2 * m
-        assert (analysis.connected, analysis.witness) == stacked_rank_split(b, c)
+        assert (analysis.connected, analysis.witness) == stacked_rank_split(a, b, c)
         assert analysis.connected == 2
 
 
@@ -310,23 +333,23 @@ def test_witness_falls_back_to_the_moment_curve(name, monkeypatch):
     # all 10,000 seeded draws give the zero curve, so the moment curve must find the witness
     monkeypatch.setattr(ZeroRandom, "draws", 0)
     monkeypatch.setattr(splitting.random, "Random", ZeroRandom)
-    b, c = split_of(load(name))
-    analysis = analyze_split(b, c)
+    a, b, c = split_of(load(name))
+    analysis = analyze_split(a, b, c)
     assert ZeroRandom.draws == 10_000 * len(analysis.kernel)
     assert analysis.connected == 2
     witness = analysis.witness
-    for p in analysis.report.intersection_points:
+    for p in analysis.intersection_points:
         assert value_at(witness, p.coords) == 0
-    for comp in c.components:
+    for comp in map(a.component, c):
         assert not sympy_divides(witness, comp.form)
         assert not divides(comp.form, witness.coeffs, witness.degree)
 
 
 def test_connected_number_requires_hypotheses(pair1_b1):
-    b = SubCurve(pair1_b1, ("L1",))
-    c = SubCurve(pair1_b1, ("C", "L2", "L3", "L4", "L5", "L6", "L7"))
+    b = ("L1",)
+    c = ("C", "L2", "L3", "L4", "L5", "L6", "L7")
     with pytest.raises(HypothesisError):
-        analyze_split(b, c)
+        analyze_split(pair1_b1, b, c)
 
 
 def test_synthetic_empty_system_gives_one():
@@ -339,13 +362,13 @@ line T2 : 0 1 -1
 line T3 : 1 0 1
 """
     a = parse(text)
-    b = SubCurve(a, ("Q",))
-    c = SubCurve(a, ("T1", "T2", "T3"))
-    report = check_hypotheses(b, c, singular_points(b.arrangement))
+    b = ("Q",)
+    c = ("T1", "T2", "T3")
+    report = check_hypotheses(a, b, c, singular_points(a))
     assert report.ok
     assert len(report.intersection_points) == 3
     assert through_points(1, report.intersection_points) == ()
-    assert analyze_split(b, c).connected == 1
+    assert analyze_split(a, b, c).connected == 1
 
 
 def test_synthetic_tangent_line_splits():
@@ -355,11 +378,11 @@ conic Q : 1 1 -1 0 0 0
 line T1 : 1 0 -1
 """
     a = parse(text)
-    b = SubCurve(a, ("Q",))
-    c = SubCurve(a, ("T1",))
-    analysis = analyze_split(b, c)
+    b = ("Q",)
+    c = ("T1",)
+    analysis = analyze_split(a, b, c)
     assert analysis.connected == 2
-    assert not sympy_divides(analysis.witness, c.components[0].form)
+    assert not sympy_divides(analysis.witness, a.component(c[0]).form)
 
 
 def test_connected_number_invariant_under_relabeling(pair1_b1):
@@ -473,7 +496,7 @@ def test_bundled_pipeline_is_integer_valued(name):
         else:
             values.extend(pt.location.coords)
     analysis = analyze_split(*split_of(a))
-    values.extend(v for p in analysis.report.intersection_points for v in p.coords)
+    values.extend(v for p in analysis.intersection_points for v in p.coords)
     values.extend(v for vec in analysis.kernel for v in vec)
     if analysis.witness is not None:
         values.extend(analysis.witness.coeffs)
