@@ -392,15 +392,6 @@ class Equivalences:
         """Every transversal element: automorphisms of c1 that generate all of them."""
         return tuple(t for level in self.transversals for t in level)
 
-    def orbit(self, labels: Iterable[str]) -> set[frozenset[str]]:
-        """The images of a set of c1's labels under Aut(c1), by breadth-first closure."""
-        orbit, frontier = set(), {frozenset(labels)}
-        while frontier:
-            orbit |= frontier
-            frontier = {frozenset(g[l] for l in s) for s in frontier for g in self.generators}
-            frontier -= orbit
-        return orbit
-
     def map_onto(self, subset: Iterable[str], image: Iterable[str]) -> bool:
         """Whether every equivalence maps `subset` onto `image` (true if there is none).
 

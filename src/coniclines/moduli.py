@@ -18,6 +18,13 @@ the full set one at a time and placing each last (smallest-last ordering,
 Matula & Beck, J. ACM 30, 1983) therefore finds an order whenever one
 exists, in at most k(k+1)/2 n-value tests for k transversal lines.
 Failure is reported as Unknown, never as "not minimal".
+
+The minimality sweep groups sub-curves into classes by links: an
+equivalence restricted to any sub-curve of its domain is an equivalence
+of the restrictions, because restricting a point record and relabelling
+it commute.  So each automorphism generator, and each equivalence found
+between two sub-curves, joins every sub-curve of its domain to its
+image with no restriction and no search.
 """
 
 from __future__ import annotations
@@ -187,9 +194,13 @@ class MinimalityReport:
 def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     """Certify that no pair of proper sub-curves can form a Zariski pair.
 
-    Every proper sub-curve of arrangement 1 is enumerated and grouped into
-    classes of equivalent combinatorics, each certified via
-    `connectivity_certificate`.  Arrangement 2 needs no sweep of its own:
+    Every proper sub-curve of arrangement 1 is enumerated, from n-1
+    components down to 1, and grouped into classes of equivalent
+    combinatorics, each certified via `connectivity_certificate`.  A
+    sub-curve linked to an earlier one (see the module docstring) joins
+    its class unrestricted; any other is restricted and looked up.  Each
+    class keeps its first sub-curve in `itertools.combinations` order.
+    Arrangement 2 needs no sweep of its own:
     an equivalence maps every sub-curve S of arrangement 1 to one of
     arrangement 2 with equivalent combinatorics, so each class occurs on
     both sides, equally often.  The result is Minimal only when every
@@ -208,31 +219,54 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
     certs = {sub: connectivity_certificate(comb) for sub, comb in dropped.items()}
     deletions = [DeletionResult(l, eqs.phi[l], certs[whole - {l}]) for l in labels]
 
-    # full sweep: every proper nonempty sub-curve of arrangement 1, grouped
-    # into true combinatorial classes.  An automorphism g of arrangement 1
-    # carries each sub-curve S onto g(S) with equivalent combinatorics, so
-    # only the first sub-curve of each orbit is restricted and looked up,
-    # and its class counts the whole orbit.  Classes are bucketed by the
-    # multiset of label fingerprints, an invariant `equivalences` checks first
+    # each sub-curve a bit mask over `labels`; φ is a bijection, so `link`
+    # joins sub-curves of one size only, and a map found at size r links the
+    # sizes below r before they are swept.  Buckets are keyed by the multiset
+    # of label fingerprints, an invariant `equivalences` checks first
+    bit = {l: 1 << i for i, l in enumerate(labels)}
+    parent: dict[int, int] = {}  # non-root mask -> a mask nearer its root
+
+    def find(m: int) -> int:
+        while m in parent:
+            parent[m] = parent.get(parent[m], parent[m])  # path halving
+            m = parent[m]
+        return m
+
+    def link(phi: dict[str, str]):
+        masks, images = [0], [0]  # every subset of the domain, and its image
+        for l, image in phi.items():
+            masks += [m | bit[l] for m in masks]
+            images += [m | bit[image] for m in images]
+        for m, im in zip(masks, images):
+            if m != im:  # a subset φ fixes needs no link
+                root, image_root = find(m), find(im)
+                if root != image_root:
+                    parent[root] = image_root
+
+    for g in eqs.generators:
+        link(g)
     buckets: dict[tuple, list[dict]] = {}  # key -> [{comb, labels, count}]
-    seen: set[frozenset[str]] = set()
-    for r in range(1, len(labels)):
+    owner: dict[int, dict] = {}  # union-find root -> its class
+    for r in range(len(labels) - 1, 0, -1):
         for subset in itertools.combinations(labels, r):
-            key = frozenset(subset)
-            if key in seen:
-                continue
-            orbit = eqs.orbit(subset)
-            seen |= orbit
-            comb = dropped[key] if key in dropped else c_full1.restrict(subset)
-            bucket = buckets.setdefault(tuple(sorted(comb.fingerprints.values())), [])
-            for cls in bucket:
-                if equivalences(comb, cls["comb"], find_all=False):
-                    cls["count"] += len(orbit)
-                    break
-            else:
-                bucket.append({"comb": comb, "labels": subset, "count": len(orbit)})
-                if key not in certs:
-                    certs[key] = connectivity_certificate(comb)
+            m = sum(bit[l] for l in subset)
+            cls = owner.get(find(m))
+            if cls is None:
+                key = frozenset(subset)
+                comb = dropped[key] if key in dropped else c_full1.restrict(subset)
+                bucket = buckets.setdefault(tuple(sorted(comb.fingerprints.values())), [])
+                for cls in bucket:
+                    phi = equivalences(comb, cls["comb"], find_all=False).phi
+                    if phi is not None:
+                        link(phi)
+                        break
+                else:
+                    cls = {"comb": comb, "labels": subset, "count": 0}
+                    bucket.append(cls)
+                    if key not in certs:
+                        certs[key] = connectivity_certificate(comb)
+                owner[find(m)] = cls
+            cls["count"] += 1
 
     shared = [
         SharedClassResult(cls["labels"], cls["count"], certs[frozenset(cls["labels"])])

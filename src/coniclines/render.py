@@ -65,7 +65,8 @@ class _Canvas:
     One whose scale or pixel height is not finite and positive, or whose
     width or height is not finite with the 5% margin that the conic is drawn
     into on each side, is outside the float range: no pixel coordinate of a
-    window that passes overflows.
+    window that passes overflows.  A window whose pixel height prints as
+    0.00 is degenerate too: its picture would be empty.
     """
 
     def __init__(self, chart: str, window: tuple[Fraction, ...]):
@@ -87,6 +88,8 @@ class _Canvas:
         finite = max(1.1 * width, 1.1 * height, self.scale, self.height) < math.inf
         if not (finite and self.height > 0):  # a wide, flat window's height can underflow
             raise ValueError(outside)
+        if f"{self.height:.2f}" == "0.00":  # the SVG would be written 0.00 pixels high
+            raise ValueError("window is degenerate")
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         return (

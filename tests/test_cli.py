@@ -505,8 +505,9 @@ OUTSIDE = "window is outside the float range"
         ((-(10**308), 10**308, -1, 1), OUTSIDE),  # a width past the float range
         ((0, 1, 0, 10**308), OUTSIDE),  # a pixel height past the float range
         ((0, f"1/{10**320}", 0, 1), OUTSIDE),  # a subnormal width: an infinite scale
+        ((0, 1, 0, "1/1000000"), "window is degenerate"),  # 0.00064 pixels high: "0.00"
     ],
-    ids=["bounds", "rounds_to_zero", "width", "pixel_height", "scale"],
+    ids=["bounds", "rounds_to_zero", "width", "pixel_height", "scale", "flat"],
 )
 def test_render_window_outside_the_float_range_exit_1(capsys, tmp_path, window, message):
     out_file = tmp_path / "window.svg"

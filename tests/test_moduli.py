@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from coniclines.arrangement import Arrangement, Component, HypothesisError, parse
 from coniclines import moduli
-from coniclines.incidence import Combinatorics, Equivalences, SingularPoint, combinatorics
+from coniclines.incidence import (
+    Combinatorics,
+    Equivalences,
+    SingularPoint,
+    combinatorics,
+    equivalences,
+)
 from coniclines.moduli import (
     AXIOM_LINES,
     connectivity_certificate,
@@ -316,13 +322,36 @@ def test_minimality_same_from_either_side(seed):
                 assert replay_certificate(full.restrict(s.representative), s.certificate)
 
 
-@pytest.mark.parametrize("name, orbits, lookups", [("pair1", 110, 59), ("pair2", 118, 67)])
-def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, monkeypatch):
-    # of the 254 proper sub-curves only the first of each orbit of the
-    # arrangement's automorphisms is restricted and looked up among the
-    # classes; the 8 deletions are restricted first, and the 5 orbits of
-    # 7-component sub-curves reuse them.  One more `equivalences` call
-    # matches the two arrangements
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_equivalences_restrict_to_every_sub_curve(seed):
+    # the lemma the minimality sweep links by: restricting a point record
+    # and relabelling it commute, so an equivalence, and an automorphism,
+    # carries each sub-curve onto its image with equivalent combinatorics
+    rng = random.Random(seed)
+    a = random_arrangement(rng, max_lines=6)
+    c1 = combinatorics(a)
+    c2 = combinatorics(relabelled_image(a, rng))
+    eqs = equivalences(c1, c2)
+    subset = rng.sample(c1.labels, rng.randint(1, len(c1.labels)))
+    for target, phi in ((c2, eqs.phi), *((c1, g) for g in eqs.generators)):
+        sub, image = c1.restrict(subset), target.restrict(phi[l] for l in subset)
+        assert sorted((phi[l], d) for l, d in sub.degrees) == sorted(image.degrees)
+        assert tuple(sorted(rec.mapped_key(phi) for rec in sub.points)) == image.record_keys
+
+
+@pytest.mark.parametrize(
+    "name, restricted, lookups", [("pair1", 52, 6), ("pair2", 51, 5), ("grid", 218, 32)]
+)
+def test_minimality_restricts_only_unlinked_sub_curves(name, restricted, lookups, monkeypatch):
+    # a sub-curve linked to a swept one, by an automorphism generator or by
+    # an equivalence a lookup found, joins its class with no restriction and
+    # no search.  The rest are restricted and looked up: 51 classes and 6
+    # matches on pair 1, 51 and 5 on pair 2, 204 classes, 19 matches and 13
+    # failed searches on the grid.  The deletions are restricted first, and
+    # the 5 classes of (n-1)-component sub-curves reuse them; one more
+    # `equivalences` call matches the two arrangements.  The orbit sweep
+    # restricted 113, 121 and 1,638 and searched 59, 67 and 1,456 times
     counts = {"restrict": 0, "equivalences": 0}
     restrict, equivalences = Combinatorics.restrict, moduli.equivalences
 
@@ -336,15 +365,19 @@ def test_minimality_restricts_one_sub_curve_per_orbit(name, orbits, lookups, mon
 
     monkeypatch.setattr(Combinatorics, "restrict", counting_restrict)
     monkeypatch.setattr(moduli, "equivalences", counting_equivalences)
-    minimality_check(load(f"{name}_B1"), load(f"{name}_B2"))
-    assert counts == {"restrict": orbits + 8 - 5, "equivalences": 1 + lookups}
+    a1, a2 = (parse(GRID),) * 2 if name == "grid" else (load(f"{name}_B1"), load(f"{name}_B2"))
+    minimality_check(a1, a2)
+    deletions = len(a1.components)
+    assert counts == {"restrict": deletions + restricted, "equivalences": 1 + lookups}
 
 
-@pytest.mark.parametrize("name, records", [("pair1", 21), ("pair2", 21), ("grid", 66)])
+@pytest.mark.parametrize("name, records", [("pair1", 21), ("pair2", 21), ("grid", 61)])
 def test_minimality_builds_each_restricted_point_once(name, records, monkeypatch):
     # a new point record per distinct (point, kept branches), memoised on the
-    # full structure: each triple point once per pair of its branches.
-    # Restricting every point anew built 298, 317 and 10,364 records
+    # full structure: each triple point once per pair of its branches, among
+    # the sub-curves that are restricted at all.  Restricting every point
+    # anew built 298, 317 and 10,364 records; the orbit sweep built 66 on
+    # the grid
     built = []
     restrict = SingularPoint.restrict
 
