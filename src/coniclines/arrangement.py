@@ -17,6 +17,7 @@ detected exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -135,11 +136,10 @@ class Arrangement:
                 raise ComponentError(f"duplicate label {comp.label}", i)
             if comp.kind == "conic" and conic:
                 raise ComponentError("more than one conic", i)
-            if comp.form in forms:
-                message = f"component {comp.label} is proportional to {forms[comp.form]}"
-                raise ComponentError(message, i)
+            first = forms.setdefault(comp.form, comp.label)
+            if first != comp.label:
+                raise ComponentError(f"component {comp.label} is proportional to {first}", i)
             labels.add(comp.label)
-            forms[comp.form] = comp.label
             conic = conic or comp.kind == "conic"
         for name, members in self.subcurves.items():
             check_subcurve(labels, name, members)
@@ -191,6 +191,16 @@ def check_subcurve(labels: set[str], name: str, members: tuple[str, ...]) -> Non
             raise ValueError(f"sub-curve {name} repeats label {member}")
 
 
+def _error(message: str, lineno: int, line: str, index: int) -> ParseError:
+    """The error at the index-th token of the line, whose column is found only here.
+
+    `parse` splits a line with `str.split()`, which splits exactly where
+    `\\S+` ends a match, so this scan finds the same tokens.
+    """
+    token = next(itertools.islice(re.finditer(r"\S+", line), index, None))
+    return ParseError(message, lineno, token.start() + 1)
+
+
 def parse(text: str) -> Arrangement:
     """Parse and validate an arrangement file.
 
@@ -199,69 +209,64 @@ def parse(text: str) -> Arrangement:
     faulty declaration's line and the column of its label.
     """
     components: list[Component] = []
-    positions: list[tuple[int, int]] = []  # (line, label column) per component
+    positions: list[tuple[int, str]] = []  # (line number, line) per component
     subcurves: dict[str, tuple[str, ...]] = {}
 
     def arrangement() -> Arrangement:
         try:
             return Arrangement(tuple(components), subcurves)
         except ComponentError as exc:
-            raise ParseError(str(exc), *positions[exc.index]) from None
+            raise _error(str(exc), *positions[exc.index], 1) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        if not stripped.strip():
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", stripped)]
-        keyword, kw_col = tokens[0]
+        keyword = tokens[0]
 
         if keyword in ("line", "conic"):
-            if len(tokens) < 3 or tokens[2][0] != ":":
-                raise ParseError(f"expected `{keyword} LABEL : coefficients`", lineno, kw_col)
-            label, label_col = tokens[1]
+            if len(tokens) < 3 or tokens[2] != ":":
+                raise _error(f"expected `{keyword} LABEL : coefficients`", lineno, line, 0)
+            label = tokens[1]
             if not LABEL_RE.match(label):
-                raise ParseError(f"invalid label {label!r}", lineno, label_col)
-            coeff_tokens = tokens[3:]
+                raise _error(f"invalid label {label!r}", lineno, line, 1)
             want = 3 if keyword == "line" else 6
-            if len(coeff_tokens) != want:
-                raise ParseError(
-                    f"{keyword} takes {want} coefficients, got {len(coeff_tokens)}",
-                    lineno,
-                    coeff_tokens[0][1] if coeff_tokens else kw_col,
-                )
+            if len(tokens) != want + 3:
+                message = f"{keyword} takes {want} coefficients, got {len(tokens) - 3}"
+                raise _error(message, lineno, line, 3 if len(tokens) > 3 else 0)
             ratios = []
-            for token, col in coeff_tokens:
+            for i in range(3, len(tokens)):
                 try:
-                    ratios.append(parse_rational(token))
+                    ratios.append(parse_rational(tokens[i]))
                 except ValueError as exc:
-                    raise ParseError(str(exc), lineno, col)
+                    raise _error(str(exc), lineno, line, i)
             den = math.lcm(*(d for _, d in ratios))
             coeffs = [n * (den // d) for n, d in ratios]
             try:
                 form = line_form(coeffs) if keyword == "line" else conic_form(coeffs)
                 components.append(Component(label, keyword, form))
             except ValueError as exc:
-                raise ParseError(str(exc), lineno, label_col)
-            positions.append((lineno, label_col))
+                raise _error(str(exc), lineno, line, 1)
+            positions.append((lineno, line))
 
         elif keyword == "curve":
-            if len(tokens) < 3 or tokens[2][0] != "=":
-                raise ParseError("expected `curve NAME = LABEL ...`", lineno, kw_col)
-            name, name_col = tokens[1]
+            if len(tokens) < 3 or tokens[2] != "=":
+                raise _error("expected `curve NAME = LABEL ...`", lineno, line, 0)
+            name = tokens[1]
             if not LABEL_RE.match(name):
-                raise ParseError(f"invalid sub-curve name {name!r}", lineno, name_col)
+                raise _error(f"invalid sub-curve name {name!r}", lineno, line, 1)
             if name in subcurves:
-                raise ParseError(f"duplicate sub-curve name {name}", lineno, name_col)
-            members = tuple(member for member, _col in tokens[3:])
+                raise _error(f"duplicate sub-curve name {name}", lineno, line, 1)
+            members = tuple(tokens[3:])
             try:
                 check_subcurve({c.label for c in components}, name, members)
             except ValueError as exc:
                 arrangement()  # a faulty component above this line is reported first
-                raise ParseError(str(exc), lineno, name_col)
+                raise _error(str(exc), lineno, line, 1)
             subcurves[name] = members
 
         else:
-            raise ParseError(f"unknown declaration {keyword!r}", lineno, kw_col)
+            raise _error(f"unknown declaration {keyword!r}", lineno, line, 0)
 
     return arrangement()
-

@@ -49,13 +49,9 @@ def _load(path: str) -> Arrangement:
     return parse(text)
 
 
-def _branch_set(labels, a: Arrangement | None = None) -> str:
+def _branch_set(labels, conic: str | None = None) -> str:
     # lines before the conic, as in the tables the reports are diffed against
-    if a is not None:
-        key = lambda l: (a.component(l).kind == "conic", l)
-    else:
-        key = lambda l: l
-    return "{" + ", ".join(sorted(labels, key=key)) + "}"
+    return "{" + ", ".join(sorted(labels, key=lambda l: (l == conic, l))) + "}"
 
 
 def cmd_analyze(args) -> int:
@@ -79,6 +75,7 @@ def cmd_analyze(args) -> int:
             out.append(f"  {name} = {' '.join(members)}  (degree {a.degree_of(members)})")
 
     points = singular_points(a)
+    conic = a.conic.label if a.conic else None
     if not points:
         out.append("no singular points")
     else:
@@ -108,11 +105,11 @@ def cmd_analyze(args) -> int:
                 out.append(f"  {name} ({count}):")
             for p in pts:
                 if p.is_rational:
-                    out.append(f"    {_branch_set(p.branches, a)} at {p.location}")
+                    out.append(f"    {_branch_set(p.branches, conic)} at {p.location}")
                 else:
                     loc: ConjugatePair = p.location
                     out.append(
-                        f"    {_branch_set(p.branches, a)} conjugate pair, "
+                        f"    {_branch_set(p.branches, conic)} conjugate pair, "
                         f"discriminant {digits(loc.discriminant)}"
                     )
     if a.components:

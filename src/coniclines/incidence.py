@@ -80,20 +80,19 @@ def intersect_line_conic(
     disc = B * B - 4 * A * C
 
     def point_at(s: int, t: int) -> Coords:
-        return primitive(s * a + t * b for a, b in zip(p0, p1))
+        return primitive((s * p0[0] + t * p1[0], s * p0[1] + t * p1[1], s * p0[2] + t * p1[2]))
 
     if disc == 0:
         if A == 0:
             # restriction is C t^2 with C != 0: double root at t = 0
             return ((p0, 2),)
         return ((point_at(-B, 2 * A), 2),)
-    if disc > 0 and math.isqrt(disc) ** 2 == disc:
-        root = math.isqrt(disc)
+    if disc > 0 and (root := math.isqrt(disc)) * root == disc:
         if A == 0:
-            pts = [point_at(1, 0), point_at(-C, B)]
+            p, q = sorted((point_at(1, 0), point_at(-C, B)))
         else:
-            pts = [point_at(-B + root, 2 * A), point_at(-B - root, 2 * A)]
-        return tuple((p, 1) for p in sorted(pts))
+            p, q = sorted((point_at(-B + root, 2 * A), point_at(-B - root, 2 * A)))
+        return ((p, 1), (q, 1))
     return ConjugatePair(disc, line.label, conic.label)
 
 
@@ -105,7 +104,7 @@ class LocalType:
     branch_count: int
     signature: tuple[int, ...]  # sorted pairwise intersection multiplicities
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         return (self.kind, self.branch_count, self.signature)
 
@@ -129,13 +128,17 @@ class LocalType:
 
 
 def classify(branch_count: int, signature: tuple[int, ...]) -> LocalType:
+    """The local type of a point; nodes and tacnodes, most points, share one value each."""
     if branch_count == 2 and signature == (1,):
-        return LocalType("node", 2, signature)
+        return NODE
     if branch_count == 2 and signature == (2,):
-        return LocalType("tacnode", 2, signature)
+        return TACNODE
     if branch_count >= 3 and all(m == 1 for m in signature):
         return LocalType("ordinary", branch_count, signature)
     return LocalType("other", branch_count, signature)
+
+
+NODE, TACNODE = LocalType("node", 2, (1,)), LocalType("tacnode", 2, (2,))
 
 
 PairMults = tuple[tuple[tuple[str, str], int], ...]
@@ -168,6 +171,11 @@ class SingularPoint:
 
     def mapped_key(self, mapping: dict[str, str]) -> tuple:
         """Coordinate-free image of the point under a relabelling."""
+        if len(self.pair_mults) == 1:  # two branches: a node or a tacnode, most points
+            (((x, y), m),) = self.pair_mults
+            x, y = mapping[x], mapping[y]
+            pair = (x, y) if x <= y else (y, x)
+            return (self.local_type.key, pair, ((pair, m),))
         mults = []
         for (x, y), m in self.pair_mults:
             x, y = mapping[x], mapping[y]
@@ -186,6 +194,10 @@ class SingularPoint:
 
 def _point(location, mults: dict[tuple[str, str], int], point_count: int = 1) -> SingularPoint:
     """The point with these pairwise multiplicities; branches and type follow from them."""
+    if len(mults) == 1:  # two branches: a node or a tacnode, most points
+        ((pair, m),) = mults.items()
+        local_type = classify(2, (m,))
+        return SingularPoint(location, frozenset(pair), ((pair, m),), local_type, point_count)
     branches = frozenset(itertools.chain.from_iterable(mults))
     local_type = classify(len(branches), tuple(sorted(mults.values())))
     return SingularPoint(location, branches, tuple(sorted(mults.items())), local_type, point_count)
@@ -200,31 +212,31 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     """
     by_point: dict[Coords, dict[tuple[str, str], int]] = {}
     conjugates: list[ConjugatePair] = []
-
-    def record(p: Coords, la: str, lb: str, mult: int):
-        key = (la, lb) if la <= lb else (lb, la)
-        by_point.setdefault(p, {})[key] = mult
-
-    for c1, c2 in itertools.combinations(a.components, 2):
-        if c1.kind == "line" and c2.kind == "line":
-            record(intersect_lines(c1, c2), c1.label, c2.label, 1)
-            continue
-        line, conic = (c1, c2) if c1.kind == "line" else (c2, c1)
+    lines, conic = a.lines, a.conic
+    for l1, l2 in itertools.combinations(lines, 2):
+        pair = (l1.label, l2.label) if l1.label <= l2.label else (l2.label, l1.label)
+        by_point.setdefault(intersect_lines(l1, l2), {})[pair] = 1
+    for line in lines if conic is not None else ():
         outcome = intersect_line_conic(line, conic)
         if isinstance(outcome, ConjugatePair):
             conjugates.append(outcome)
             continue
+        pair = (line.label, conic.label) if line.label <= conic.label else (conic.label, line.label)
         for p, mult in outcome:
-            record(p, line.label, conic.label, mult)
+            by_point.setdefault(p, {})[pair] = mult
 
     points: list[SingularPoint] = []
     for p in sorted(by_point):
-        pt = _point(ProjPoint(*p), by_point[p])
+        mults = by_point[p]
+        # the intersection points are canonical triples already
+        pt = _point(ProjPoint._canonical(p), mults)
         # two components through the same rational point always have their
-        # intersection recorded there, so the pair table is complete
-        for x, y in itertools.combinations(sorted(pt.branches), 2):
-            if (x, y) not in by_point[p]:
-                raise AssertionError(f"missing pair multiplicity for {x}, {y} at {pt.location}")
+        # intersection recorded there, so the pair table holds every pair
+        n = len(pt.branches)
+        if len(mults) != n * (n - 1) // 2:
+            pairs = itertools.combinations(sorted(pt.branches), 2)
+            x, y = next(pair for pair in pairs if pair not in mults)
+            raise AssertionError(f"missing pair multiplicity for {x}, {y} at {pt.location}")
         points.append(pt)
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
         points.append(_point(cj, {tuple(sorted((cj.line, cj.conic))): 1}, point_count=2))
@@ -260,12 +272,17 @@ class PointFacts(NamedTuple):
 
 def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
     key = rec.local_type.key
+    if len(rec.pair_mults) == 1:  # two branches: a node or a tacnode, most points
+        ((pair, m),) = rec.pair_mults
+        l1, l2 = pair
+        fingerprint = ((l1, (key, (degree[l2],))), (l2, (key, (degree[l1],))))
+        return PointFacts(rec, fingerprint, ((pair, (key, m, 2)),), (key, pair, rec.pair_mults))
+    labels = tuple(sorted(rec.branches))
     fingerprint = tuple(
-        (l, (key, tuple(sorted(degree[o] for o in rec.branches if o != l))))
-        for l in rec.branches
+        (l, (key, tuple(sorted(degree[o] for o in labels if o != l)))) for l in labels
     )
-    profile = tuple((pair, (key, m, len(rec.branches))) for pair, m in rec.pair_mults)
-    return PointFacts(rec, fingerprint, profile, (key, tuple(sorted(rec.branches)), rec.pair_mults))
+    profile = tuple((pair, (key, m, len(labels))) for pair, m in rec.pair_mults)
+    return PointFacts(rec, fingerprint, profile, (key, labels, rec.pair_mults))
 
 
 @dataclass(frozen=True)
@@ -290,8 +307,15 @@ class Combinatorics:
 
     def __post_init__(self):
         if self.facts is None:
-            degree = dict(self.degrees)
-            object.__setattr__(self, "facts", tuple(_point_facts(pt, degree) for pt in self.points))
+            facts: list[PointFacts] = []
+            for pt in self.points:  # the two points of a conjugate pair share their facts
+                same = facts and facts[-1].record is pt
+                facts.append(facts[-1] if same else _point_facts(pt, self._degree))
+            object.__setattr__(self, "facts", tuple(facts))
+
+    @cached_property
+    def _degree(self) -> dict[str, int]:
+        return dict(self.degrees)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -347,7 +371,7 @@ class Combinatorics:
                 continue
             f = memo.get((i, kept))
             if f is None:
-                f = memo[i, kept] = _point_facts(pt.restrict(kept), dict(self.degrees))
+                f = memo[i, kept] = _point_facts(pt.restrict(kept), self._degree)
             facts.append(f)
         return Combinatorics(
             tuple((l, d) for l, d in self.degrees if l in keep),

@@ -23,9 +23,9 @@ QVector = tuple[int, ...]
 def primitive(vec: Iterable[int]) -> QVector:
     """Divide an integer vector by its content, making the first nonzero entry positive.
 
-    The zero vector comes back unchanged.  Used to canonicalize kernel
-    vectors, coefficient vectors and point coordinates for reproducible
-    output.
+    The zero vector, and a tuple that is primitive already, come back as
+    the same object.  Used to canonicalize kernel vectors, coefficient
+    vectors and point coordinates for reproducible output.
     """
     ints = tuple(vec)
     g = math.gcd(*ints)

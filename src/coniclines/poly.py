@@ -72,7 +72,14 @@ class ProjPoint:
         coords = primitive((x, y, z))
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", coords)
+        self.coords = coords
+
+    @classmethod
+    def _canonical(cls, coords: tuple[int, int, int]) -> "ProjPoint":
+        """The point of a triple already in canonical form, taken as it is."""
+        point = object.__new__(cls)
+        point.coords = coords
+        return point
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
@@ -123,8 +130,9 @@ class HomPoly:
         return not any(self.coeffs)
 
     def primitive(self) -> "HomPoly":
-        """Coefficients scaled to coprime integers, first nonzero positive."""
-        return HomPoly(self.degree, primitive(self.coeffs))
+        """Coefficients scaled to coprime integers, first nonzero positive; self if they are."""
+        coeffs = primitive(self.coeffs)  # the same tuple when it is primitive already
+        return self if coeffs is self.coeffs else HomPoly(self.degree, coeffs)
 
     def __eq__(self, other):
         return (

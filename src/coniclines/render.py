@@ -277,7 +277,8 @@ def render_svg(
         out.append(f'    <path d="{d}"/>')
     out.append("  </g>")
 
-    stroke_px = STROKE_WIDTH * canvas.scale
+    # at least a pixel wide, like the axes, so that no component vanishes
+    stroke_px = max(STROKE_WIDTH * canvas.scale, 1)
     for idx, comp in enumerate(a.components):
         color = PALETTE[idx % len(PALETTE)]
         if comp.kind == "line":
@@ -298,6 +299,7 @@ def render_svg(
         for pt in singular_points(a)
         if pt.is_rational and pt.local_type.kind != "node"
     ]
+    conic = a.conic.label if a.conic else None
     out.append('  <g class="markers" fill="#000000" font-size="12" font-family="monospace">')
     for pt in marked:
         cc = _chart_point(canvas.order, pt.location.coords)
@@ -307,9 +309,7 @@ def render_svg(
         if not (canvas.xmin <= u <= canvas.xmax and canvas.ymin <= v <= canvas.ymax):
             continue
         px, py = canvas.to_px(u, v)
-        label = "{" + ",".join(
-            sorted(pt.branches, key=lambda l: (a.component(l).kind == "conic", l))
-        ) + "}"
+        label = "{" + ",".join(sorted(pt.branches, key=lambda l: (l == conic, l))) + "}"
         out.append(f'    <circle cx="{px:.2f}" cy="{py:.2f}" r="3.5"/>')
         out.append(f'    <text x="{px + 5:.2f}" y="{py - 5:.2f}">{label}</text>')
     out.append("  </g>")

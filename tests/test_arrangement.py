@@ -97,33 +97,48 @@ def test_unknown_label_in_subcurve():
         parse("line L1 : 1 0 0\ncurve B = L1 L2\n")
 
 
+def declaration(text, line, column, message):
+    # the id is the text, line and message: the column is read off the error
+    return pytest.param(text, line, column, message, id=f"{text}-{line}-{message}")
+
+
 @pytest.mark.parametrize(
-    "text, line, message",
+    "text, line, column, message",
     [
-        ("line L1 : 1 0 0\nline L2 : 0 1 0\nline L1 : 1 1 0\n", 3, "duplicate label L1"),
-        ("conic C : 1 1 -1 0 0 0\nline L1 : 1 0 0\nconic D : 1 1 -4 0 0 0\n", 3,
-         "more than one conic"),
-        ("line L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : -3 0 0\n", 3,
-         "component L3 is proportional to L1"),
-        ("line L1 : 1 0 0\ncurve B =\n", 2, "sub-curve B is empty"),
-        ("line L1 : 1 0 0\ncurve B = L1 L2\n", 2, "unknown label L2 in sub-curve B"),
-        ("line L1 : 1 0 0\ncurve B = L1 L1\n", 2, "sub-curve B repeats label L1"),
+        declaration("line L1 : 1 0 0\nline L2 : 0 1 0\nline L1 : 1 1 0\n", 3, 6,
+                    "duplicate label L1"),
+        declaration("conic C : 1 1 -1 0 0 0\nline L1 : 1 0 0\nconic D : 1 1 -4 0 0 0\n", 3, 7,
+                    "more than one conic"),
+        declaration("line L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : -3 0 0\n", 3, 6,
+                    "component L3 is proportional to L1"),
+        declaration("line L1 : 1 0 0\ncurve B =\n", 2, 7, "sub-curve B is empty"),
+        declaration("line L1 : 1 0 0\ncurve B = L1 L2\n", 2, 7, "unknown label L2 in sub-curve B"),
+        declaration("line L1 : 1 0 0\ncurve B = L1 L1\n", 2, 7, "sub-curve B repeats label L1"),
         # a sub-curve sees only the components declared above it
-        ("curve B = L1\nline L1 : 1 0 0\n", 1, "unknown label L1 in sub-curve B"),
-        ("line L1 : 1 0 0\ncurve B = L1 L2\nline L2 : 0 1 0\n", 2,
-         "unknown label L2 in sub-curve B"),
+        declaration("curve B = L1\nline L1 : 1 0 0\n", 1, 7, "unknown label L1 in sub-curve B"),
+        declaration("line L1 : 1 0 0\ncurve B = L1 L2\nline L2 : 0 1 0\n", 2, 7,
+                    "unknown label L2 in sub-curve B"),
         # the first faulty declaration is reported
-        ("line L1 : 1 0 0\ncurve B = L9\nline L1 : 0 1 0\n", 2,
-         "unknown label L9 in sub-curve B"),
-        ("line L1 : 1 0 0\nline L2 : 2 0 0\ncurve B = L9\n", 2,
-         "component L2 is proportional to L1"),
+        declaration("line L1 : 1 0 0\ncurve B = L9\nline L1 : 0 1 0\n", 2, 7,
+                    "unknown label L9 in sub-curve B"),
+        declaration("line L1 : 1 0 0\nline L2 : 2 0 0\ncurve B = L9\n", 2, 6,
+                    "component L2 is proportional to L1"),
+        # tabs, indents and runs of spaces: a column counts characters, a tab as one
+        declaration("line\tL1\t:\t1\t0\t0\nline\tL2\t:\t-2\t0\t0\n", 2, 6,
+                    "component L2 is proportional to L1"),
+        declaration("  line L1 : 1 0 0\n\tline L1 : 0 1 0\n", 2, 7, "duplicate label L1"),
+        declaration("line L1 : 1 0 0\n\t \tline   L2  :  0 1 0\ncurve   B   =   L1    L9\n", 3, 9,
+                    "unknown label L9 in sub-curve B"),
+        declaration("line L1 : 1 0 0\n   line \t 1a : 0 1 0\n", 2, 11, "invalid label '1a'"),
+        declaration("conic C\t: 1 1 -1 0 0 0\n\t\tconic   D :\t1 1 -4 0 0 0\n", 2, 11,
+                    "more than one conic"),
     ],
 )
-def test_validation_error_names_the_offending_declaration(text, line, message):
+def test_validation_error_names_the_offending_declaration(text, line, column, message):
     with pytest.raises(ParseError) as err:
         parse(text)
-    assert err.value.line == line
-    assert str(err.value).endswith(f": {message}")
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
 def test_parse_compares_forms_once(monkeypatch):
@@ -153,11 +168,27 @@ def test_syntax_error_reports_position():
     assert err.value.column > 1
 
 
-@pytest.mark.parametrize("token", ["1.5", ".5", "1e9", "1e10000000", "1_000", "1/0", "3/-4"])
-def test_coefficient_is_integer_or_fraction(token):
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        *(
+            pytest.param(f"line L1 : 1 {token} 0\n", 1, 13, id=token)
+            for token in ["1.5", ".5", "1e9", "1e10000000", "1_000", "1/0", "3/-4"]
+        ),
+        pytest.param("line\tL1\t:\t1\t1.5\t0\n", 1, 13, id="tabs"),
+        pytest.param("\tline  L1 :\t1   x/2 0\n", 1, 17, id="indent"),
+        pytest.param("   conic C : 1 1 -1 0 1e3 0\n", 1, 23, id="mid-line"),
+        pytest.param("line L1 : 1 0 0  # comment\nline    L2   :   0   1/0   0\n", 2, 22,
+                     id="runs-of-spaces"),
+    ],
+)
+def test_coefficient_is_integer_or_fraction(text, line, column):
+    token = text.splitlines()[line - 1][column - 1 :].split()[0]
     with pytest.raises(ParseError) as err:
-        parse(f"line L1 : 1 {token} 0\n")
-    assert str(err.value) == f"line 1, column 13: expected integer or fraction, got {token!r}"
+        parse(text)
+    assert str(err.value) == (
+        f"line {line}, column {column}: expected integer or fraction, got {token!r}"
+    )
 
 
 @pytest.mark.skipif(

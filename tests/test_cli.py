@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -519,15 +520,22 @@ def test_render_window_outside_the_float_range_exit_1(capsys, tmp_path, window, 
 
 
 def test_render_huge_window_has_finite_pixels(capsys, tmp_path):
-    # the window diagonal, 1.4e200, squares past the float range
+    # the first window's diagonal, 1.4e200, squares past the float range;
+    # on both, 0.08 chart units of stroke are far below a pixel
     out_file = tmp_path / "window.svg"
-    window = ("0", str(10**200), "0", str(10**200))
-    assert run(capsys, "render", P1B1, "-o", str(out_file), "--window", *window) == (
-        0, f"wrote {out_file}\n", ""
-    )
-    svg = out_file.read_text()
-    assert 'viewBox="0 0 640 640.00"' in svg
-    assert re.search(r"\b(nan|inf)\b", svg) is None
+    for window in (
+        ("0", str(10**200), "0", str(10**200)),
+        ("-1000000", "1000000", "-1000000", "1000000"),
+    ):
+        assert run(capsys, "render", P1B1, "-o", str(out_file), "--window", *window) == (
+            0, f"wrote {out_file}\n", ""
+        )
+        svg = out_file.read_text()
+        assert 'viewBox="0 0 640 640.00"' in svg
+        assert re.search(r"\b(nan|inf)\b", svg) is None
+        strokes = re.findall(r'stroke-width="([^"]*)"', svg)
+        assert len(strokes) == 9  # the axes and the 8 components
+        assert "0.00" not in strokes
 
 
 def test_closed_stdout_ends_quietly():
@@ -576,6 +584,43 @@ def test_render_other_charts(capsys, tmp_path):
         code, _, _ = run(capsys, "render", P1B1, "-o", str(out_file), "--chart", chart)
         assert code == 0
         assert out_file.read_text().count('class="component"') == 8
+
+
+@pytest.mark.parametrize(
+    "argv, parses, searches",
+    [
+        (["analyze", P1B1], 1, 1),
+        (["compare", P1B1, P1B2], 2, 2),
+        (["split", P1B1, "--branch", "B", "--curve", "CC"], 1, 1),
+        (["zariski", P1B1, P1B2, "--branch1", "B", "--curve1", "CC",
+          "--branch2", "B", "--curve2", "CC"], 2, 2),
+        (["minimality", P1B1, P1B2], 2, 2),
+        (["render", P1B1, "-o", "OUT"], 1, 1),
+    ],
+    ids=["analyze", "compare", "split", "zariski", "minimality", "render"],
+)
+def test_each_command_parses_each_file_once_and_finds_its_singular_points_once(
+    capsys, tmp_path, monkeypatch, argv, parses, searches
+):
+    from coniclines import arrangement, incidence
+
+    calls = Counter()
+    for original in (arrangement.parse, incidence.singular_points):
+
+        def counting(*args, original=original, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        # every namespace that holds the function, as the benchmark's tracer rebinds it
+        for name, module in list(sys.modules.items()):
+            if name == "coniclines" or name.startswith("coniclines."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    argv = [str(tmp_path / "out.svg") if a == "OUT" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == {"parse": parses, "singular_points": searches}
 
 
 def test_zariski_deterministic_report(capsys):
