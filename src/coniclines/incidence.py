@@ -128,7 +128,7 @@ class LocalType:
 
 
 def classify(branch_count: int, signature: tuple[int, ...]) -> LocalType:
-    """The local type of a point; nodes and tacnodes, most points, share one value each."""
+    """The local type of a point; every node, and every tacnode, is one shared value."""
     if branch_count == 2 and signature == (1,):
         return NODE
     if branch_count == 2 and signature == (2,):
@@ -171,11 +171,6 @@ class SingularPoint:
 
     def mapped_key(self, mapping: dict[str, str]) -> tuple:
         """Coordinate-free image of the point under a relabelling."""
-        if len(self.pair_mults) == 1:  # two branches: a node or a tacnode, most points
-            (((x, y), m),) = self.pair_mults
-            x, y = mapping[x], mapping[y]
-            pair = (x, y) if x <= y else (y, x)
-            return (self.local_type.key, pair, ((pair, m),))
         mults = []
         for (x, y), m in self.pair_mults:
             x, y = mapping[x], mapping[y]
@@ -194,10 +189,6 @@ class SingularPoint:
 
 def _point(location, mults: dict[tuple[str, str], int], point_count: int = 1) -> SingularPoint:
     """The point with these pairwise multiplicities; branches and type follow from them."""
-    if len(mults) == 1:  # two branches: a node or a tacnode, most points
-        ((pair, m),) = mults.items()
-        local_type = classify(2, (m,))
-        return SingularPoint(location, frozenset(pair), ((pair, m),), local_type, point_count)
     branches = frozenset(itertools.chain.from_iterable(mults))
     local_type = classify(len(branches), tuple(sorted(mults.values())))
     return SingularPoint(location, branches, tuple(sorted(mults.items())), local_type, point_count)
@@ -228,8 +219,7 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     points: list[SingularPoint] = []
     for p in sorted(by_point):
         mults = by_point[p]
-        # the intersection points are canonical triples already
-        pt = _point(ProjPoint._canonical(p), mults)
+        pt = _point(ProjPoint(*p), mults)
         # two components through the same rational point always have their
         # intersection recorded there, so the pair table holds every pair
         n = len(pt.branches)
@@ -272,11 +262,6 @@ class PointFacts(NamedTuple):
 
 def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
     key = rec.local_type.key
-    if len(rec.pair_mults) == 1:  # two branches: a node or a tacnode, most points
-        ((pair, m),) = rec.pair_mults
-        l1, l2 = pair
-        fingerprint = ((l1, (key, (degree[l2],))), (l2, (key, (degree[l1],))))
-        return PointFacts(rec, fingerprint, ((pair, (key, m, 2)),), (key, pair, rec.pair_mults))
     labels = tuple(sorted(rec.branches))
     fingerprint = tuple(
         (l, (key, tuple(sorted(degree[o] for o in labels if o != l)))) for l in labels

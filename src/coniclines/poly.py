@@ -72,14 +72,7 @@ class ProjPoint:
         coords = primitive((x, y, z))
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        self.coords = coords
-
-    @classmethod
-    def _canonical(cls, coords: tuple[int, int, int]) -> "ProjPoint":
-        """The point of a triple already in canonical form, taken as it is."""
-        point = object.__new__(cls)
-        point.coords = coords
-        return point
+        object.__setattr__(self, "coords", coords)
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
