@@ -263,11 +263,14 @@ class PointFacts(NamedTuple):
 def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
     key = rec.local_type.key
     labels = tuple(sorted(rec.branches))
-    fingerprint = tuple(
-        (l, (key, tuple(sorted(degree[o] for o in labels if o != l)))) for l in labels
-    )
-    profile = tuple((pair, (key, m, len(labels))) for pair, m in rec.pair_mults)
-    return PointFacts(rec, fingerprint, profile, (key, labels, rec.pair_mults))
+    degrees = sorted([degree[l] for l in labels])
+    fingerprint = []
+    for l in labels:  # the other branches' degrees: all of them less one of l's
+        others = degrees.copy()
+        others.remove(degree[l])
+        fingerprint.append((l, (key, tuple(others))))
+    profile = tuple([(pair, (key, m, len(labels))) for pair, m in rec.pair_mults])
+    return PointFacts(rec, tuple(fingerprint), profile, (key, labels, rec.pair_mults))
 
 
 @dataclass(frozen=True)
