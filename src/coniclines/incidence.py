@@ -295,11 +295,8 @@ class Combinatorics:
 
     def __post_init__(self):
         if self.facts is None:
-            facts: list[PointFacts] = []
-            for pt in self.points:  # the two points of a conjugate pair share their facts
-                same = facts and facts[-1].record is pt
-                facts.append(facts[-1] if same else _point_facts(pt, self._degree))
-            object.__setattr__(self, "facts", tuple(facts))
+            facts = tuple(_point_facts(pt, self._degree) for pt in self.points)
+            object.__setattr__(self, "facts", facts)
 
     @cached_property
     def _degree(self) -> dict[str, int]:
