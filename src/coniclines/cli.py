@@ -27,7 +27,6 @@ from .incidence import (
     bezout_check,
     combinatorics,
     equivalences,
-    singular_points,
 )
 from .moduli import minimality_check, minimality_report_text
 from .poly import digits
@@ -74,13 +73,13 @@ def cmd_analyze(args) -> int:
         for name, members in a.subcurves.items():
             out.append(f"  {name} = {' '.join(members)}  (degree {a.degree_of(members)})")
 
-    points = singular_points(a)
+    comb = combinatorics(a)
     conic = a.conic.label if a.conic else None
-    if not points:
+    if not comb.points:
         out.append("no singular points")
     else:
         groups: dict[str, list] = {}
-        for pt in points:
+        for pt in comb.points:
             groups.setdefault(pt.local_type.display(), []).append(pt)
         order = sorted(
             groups,
@@ -92,18 +91,17 @@ def cmd_analyze(args) -> int:
         out.append("singular points:")
         for key in order:
             pts = groups[key]
-            count = sum(p.point_count for p in pts)
             name = pts[0].local_type.display(plural=True)
+            rational = [p for p in pts if p.is_rational]
+            conj = list(dict.fromkeys(p for p in pts if not p.is_rational))  # each pair once
             if key == "node":
-                rational = [p for p in pts if p.is_rational]
-                conj = [p for p in pts if not p.is_rational]
                 detail = f"{len(rational)} rational"
                 if conj:
                     detail += f" + {len(conj)} conjugate pair{'s' if len(conj) != 1 else ''}"
-                out.append(f"  {name} ({count}: {detail}):")
+                out.append(f"  {name} ({len(pts)}: {detail}):")
             else:
-                out.append(f"  {name} ({count}):")
-            for p in pts:
+                out.append(f"  {name} ({len(pts)}):")
+            for p in rational + conj:
                 if p.is_rational:
                     out.append(f"    {_branch_set(p.branches, conic)} at {p.location}")
                 else:
@@ -114,8 +112,8 @@ def cmd_analyze(args) -> int:
                     )
     if a.components:
         npairs = len(a.components) * (len(a.components) - 1) // 2
-        verdict = "OK" if bezout_check(a, points) else "FAILED"
-        out.append(f"bezout check: {verdict} ({npairs} component pairs)")
+        verdict = "OK" if bezout_check(comb) else "FAILED"
+        out.append(f"bezout check: {verdict} ({npairs} component pair{'s' if npairs != 1 else ''})")
     print("\n".join(out))
     return EXIT_OK
 

@@ -2,11 +2,12 @@
 
 Two rational lines always meet in a rational point, so only line-conic
 intersections can leave the rationals.  Those are kept symbolic as a
-conjugate pair (line, conic, discriminant): the pair contributes two
-nodes, and no third component can pass through either point, so no
-field-extension arithmetic is ever needed.
+conjugate pair (line, conic, discriminant): the pair is two nodes, two
+equal point records, and no third component can pass through either
+point, so no field-extension arithmetic is ever needed.
 
-An arrangement's `Combinatorics` is computed once, and a sub-arrangement's
+`combinatorics(a)` is the one way from an arrangement to its points.  An
+arrangement's `Combinatorics` is computed once, and a sub-arrangement's
 is its restriction: the whole structure memoises each distinct (point,
 kept branches) with that point's facts, which every sub-curve shares.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -148,15 +149,14 @@ PairMults = tuple[tuple[tuple[str, str], int], ...]
 class SingularPoint:
     """A singular point of the arrangement with its local data.
 
-    A record with a ConjugatePair location stands for the two conjugate
-    nodes at once (point_count = 2); each carries the same rational data.
+    The two nodes of a conjugate pair are two equal records, each with the
+    ConjugatePair as its location and the same rational data.
     """
 
     location: ProjPoint | ConjugatePair
     branches: frozenset[str]
     pair_mults: PairMults
     local_type: LocalType
-    point_count: int = 1
 
     def mult(self, a: str, b: str) -> int:
         key = (a, b) if a <= b else (b, a)
@@ -184,22 +184,23 @@ class SingularPoint:
         if keep.issuperset(self.branches):
             return self
         mults = {pair: m for pair, m in self.pair_mults if keep.issuperset(pair)}
-        return _point(self.location, mults, self.point_count) if mults else None
+        return _point(self.location, mults) if mults else None
 
 
-def _point(location, mults: dict[tuple[str, str], int], point_count: int = 1) -> SingularPoint:
+def _point(location, mults: dict[tuple[str, str], int]) -> SingularPoint:
     """The point with these pairwise multiplicities; branches and type follow from them."""
     branches = frozenset(itertools.chain.from_iterable(mults))
     local_type = classify(len(branches), tuple(sorted(mults.values())))
-    return SingularPoint(location, branches, tuple(sorted(mults.items())), local_type, point_count)
+    return SingularPoint(location, branches, tuple(sorted(mults.items())), local_type)
 
 
 def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     """All singular points, rational ones merged by canonical coordinates.
 
     Rational points come first, in lexicographic order of their canonical
-    coordinate triples, one `ProjPoint` each; conjugate-pair records
-    follow, ordered by labels.
+    coordinate triples, one `ProjPoint` each; conjugate pairs follow,
+    ordered by labels, two equal records each.  Commands reach them
+    through `combinatorics`.
     """
     by_point: dict[Coords, dict[tuple[str, str], int]] = {}
     conjugates: list[ConjugatePair] = []
@@ -229,7 +230,8 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
             raise AssertionError(f"missing pair multiplicity for {x}, {y} at {pt.location}")
         points.append(pt)
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
-        points.append(_point(cj, {tuple(sorted((cj.line, cj.conic))): 1}, point_count=2))
+        pt = _point(cj, {tuple(sorted((cj.line, cj.conic))): 1})
+        points += (pt, pt)
     return tuple(points)
 
 
@@ -238,16 +240,16 @@ def bezout_table(points: tuple[SingularPoint, ...]) -> dict[tuple[str, str], int
     sums: dict[tuple[str, str], int] = {}
     for pt in points:
         for pair, m in pt.pair_mults:
-            sums[pair] = sums.get(pair, 0) + m * pt.point_count
+            sums[pair] = sums.get(pair, 0) + m
     return sums
 
 
-def bezout_check(a: Arrangement, points: tuple[SingularPoint, ...]) -> bool:
-    """Bezout's theorem for every component pair of a, given its singular points."""
-    table = bezout_table(points)
+def bezout_check(comb: Combinatorics) -> bool:
+    """Bezout's theorem for every component pair of the structure."""
+    table = bezout_table(comb.points)
     return all(
-        table.get(tuple(sorted((c1.label, c2.label))), 0) == c1.degree * c2.degree
-        for c1, c2 in itertools.combinations(a.components, 2)
+        table.get((x, y) if x <= y else (y, x), 0) == dx * dy
+        for (x, dx), (y, dy) in itertools.combinations(comb.degrees, 2)
     )
 
 
@@ -277,26 +279,24 @@ def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
 class Combinatorics:
     """Incidence structure of an arrangement: component degrees and singular points.
 
-    `points` lists `singular_points` in their canonical order, a conjugate
-    pair twice (once per point).  The points keep their locations, but
-    equivalence reads only labels, local types and multiplicities: two
-    projectively equivalent arrangements give structures equal up to a
-    bijection of labels, which `equivalences` searches for.  A
-    sub-arrangement's structure is the restriction of the whole one.
+    `points` lists `singular_points` in their canonical order, one record
+    per point.  The points keep their locations, but equivalence reads
+    only labels, local types and multiplicities: two projectively
+    equivalent arrangements give structures equal up to a bijection of
+    labels, which `equivalences` searches for.  A sub-arrangement's
+    structure is the restriction of the whole one.
 
-    `facts` holds each point's `PointFacts`, computed from the points when
-    not given; equality ignores it.  `fingerprints`, `pair_profiles` and
-    `record_keys` are sorts of those entries.
+    `facts` holds each point's `PointFacts`, built on first use: a
+    restriction is handed the facts of its points.  `fingerprints`,
+    `pair_profiles` and `record_keys` are sorts of those entries.
     """
 
     degrees: tuple[tuple[str, int], ...]
     points: tuple[SingularPoint, ...]
-    facts: tuple[PointFacts, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.facts is None:
-            facts = tuple(_point_facts(pt, self._degree) for pt in self.points)
-            object.__setattr__(self, "facts", facts)
+    @cached_property
+    def facts(self) -> tuple[PointFacts, ...]:
+        return tuple(_point_facts(pt, self._degree) for pt in self.points)
 
     @cached_property
     def _degree(self) -> dict[str, int]:
@@ -358,19 +358,17 @@ class Combinatorics:
             if f is None:
                 f = memo[i, kept] = _point_facts(pt.restrict(kept), self._degree)
             facts.append(f)
-        return Combinatorics(
+        sub = Combinatorics(
             tuple((l, d) for l, d in self.degrees if l in keep),
             tuple(f.record for f in facts),
-            tuple(facts),
         )
+        object.__setattr__(sub, "facts", tuple(facts))
+        return sub
 
 
-def combinatorics(a: Arrangement, points: tuple[SingularPoint, ...] | None = None) -> Combinatorics:
-    """The incidence structure of a; `points` are its singular points, if known."""
-    if points is None:
-        points = singular_points(a)
-    degrees = tuple((c.label, c.degree) for c in a.components)
-    return Combinatorics(degrees, tuple(pt for pt in points for _ in range(pt.point_count)))
+def combinatorics(a: Arrangement) -> Combinatorics:
+    """The incidence structure of a: its degrees and singular points."""
+    return Combinatorics(tuple((c.label, c.degree) for c in a.components), singular_points(a))
 
 
 def _record_multiset(c: Combinatorics, mapping: dict[str, str]) -> tuple:

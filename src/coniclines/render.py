@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .incidence import singular_points
+from .incidence import combinatorics
 from .poly import HomPoly, cross, restrict_to_line
 
 PALETTE = (
@@ -296,7 +296,7 @@ def render_svg(
     # markers: the distinguished (non-node) singular points
     marked = [
         pt
-        for pt in singular_points(a)
+        for pt in combinatorics(a).points
         if pt.is_rational and pt.local_type.kind != "node"
     ]
     conic = a.conic.label if a.conic else None

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, HypothesisError, check_subcurve
-from .incidence import ConjugatePair, SingularPoint, combinatorics, equivalences, singular_points
+from .incidence import Combinatorics, ConjugatePair, combinatorics, equivalences
 from .linalg import QMatrix, QVector, kernel_basis
 from .poly import HomPoly, ProjPoint, divides, monomial_count, monomial_row
 
@@ -45,15 +45,16 @@ class SplitHypothesisReport:
 
 
 def check_hypotheses(
-    a: Arrangement, b: tuple[str, ...], c: tuple[str, ...], points: tuple[SingularPoint, ...]
+    comb: Combinatorics, b: tuple[str, ...], c: tuple[str, ...]
 ) -> SplitHypothesisReport:
-    """Evaluate the four hypotheses of the splitting criterion for (B, C) at these points.
+    """Evaluate the four hypotheses of the splitting criterion for (B, C) on a structure.
 
     B and C are label tuples.  A split that is not a partition of the
     arrangement into two nonempty sides is an input error (ValueError),
-    raised before any hypothesis is evaluated.
+    raised before any hypothesis is evaluated.  A conjugate pair meeting
+    both sides is one violation, not one per point.
     """
-    labels = set(a.labels)
+    labels = set(comb.labels)
     check_subcurve(labels, "B", b)
     check_subcurve(labels, "C", c)
     bset, cset = set(b), frozenset(c)
@@ -64,12 +65,12 @@ def check_hypotheses(
         raise ValueError(f"B and C do not cover the arrangement: missing {sorted(missing)}")
 
     violations: list[str] = []
-    b_degree = a.degree_of(b)
+    b_degree = sum(d for l, d in comb.degrees if l in bset)
     if b_degree % 2:
         violations.append(f"deg B = {b_degree} is odd")
 
     # C alone must be nodal (its components are smooth by construction)
-    for pt in points:
+    for pt in comb.points:
         on_c = pt.restrict(cset)
         if on_c is not None and on_c.local_type.kind != "node":
             name = on_c.local_type.display()
@@ -77,16 +78,18 @@ def check_hypotheses(
             violations.append(f"C has {article} {name} at {pt.location}")
 
     bc_points: list[ProjPoint] = []
-    for pt in points:
+    for pt in comb.points:
         b_branches = pt.branches & bset
         c_branches = pt.branches & cset
         if not (b_branches and c_branches):
             continue
         if isinstance(pt.location, ConjugatePair):
-            violations.append(
+            message = (
                 f"B meets C at the irrational conjugate pair of {pt.location.line} "
                 f"and {pt.location.conic}; rational support is required"
             )
+            if message not in violations:  # once for the two records of the pair
+                violations.append(message)
             continue
         bc_points.append(pt.location)
         if len(c_branches) >= 2:
@@ -154,7 +157,7 @@ def analyze_split(
     the kernel basis that is one, else the first such moment-curve point.
     """
     if report is None:
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
     if not report.ok:
         raise HypothesisError(
             "splitting hypotheses violated: " + "; ".join(report.violations)
@@ -220,10 +223,10 @@ def zariski_certificate(
     b2, c2 = map(a2.subcurve, split2)
     # both reports first: a split error (ValueError) takes precedence over
     # the hypothesis violations that `analyze_split` raises below
-    points1, points2 = singular_points(a1), singular_points(a2)
-    report1 = check_hypotheses(a1, b1, c1, points1)
-    report2 = check_hypotheses(a2, b2, c2, points2)
-    eqs = equivalences(combinatorics(a1, points1), combinatorics(a2, points2))
+    comb1, comb2 = combinatorics(a1), combinatorics(a2)
+    report1 = check_hypotheses(comb1, b1, c1)
+    report2 = check_hypotheses(comb2, b2, c2)
+    eqs = equivalences(comb1, comb2)
     found = bool(eqs)
     reasons: list[str] = []
     if not found:

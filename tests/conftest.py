@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from coniclines.incidence import (
     classify,
     combinatorics,
     equivalences,
-    singular_points,
 )
 from coniclines.linalg import QMatrix, QVector, _ff_echelon, kernel_basis, primitive
 from coniclines.moduli import OrderingCertificate, _tangent_lines, connectivity_certificate, n_value
@@ -44,6 +44,14 @@ GRID = (
     + "".join(f"line Y{i} : 0 1 {-i}\n" for i in range(4))
     + "".join(f"line S{s} : 1 1 {-s}\n" for s in range(1, 5))
 )
+
+
+# two lines, each meeting the conic in one conjugate pair: 4 conjugate nodes
+TWO_CONJUGATE_PAIRS = """
+conic Q : 1 1 -1 0 0 0
+line L1 : 0 1 -2
+line L2 : 0 1 -3
+"""
 
 
 def cleared(vec) -> tuple[int, ...]:
@@ -128,8 +136,31 @@ def reference_singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
         records.append(SingularPoint(p, branches, tuple(sorted(mults.items())), local_type))
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
         pair = tuple(sorted((cj.line, cj.conic)))
-        records.append(SingularPoint(cj, frozenset(pair), ((pair, 1),), classify(2, (1,)), 2))
+        # one record per point: the two conjugate nodes
+        records += [SingularPoint(cj, frozenset(pair), ((pair, 1),), classify(2, (1,)))] * 2
     return tuple(records)
+
+
+def record_calls(monkeypatch, *functions) -> dict[str, list[tuple]]:
+    """The positional arguments of every call of each function, by function name.
+
+    Each function is replaced in every `coniclines` namespace that holds
+    it, as the benchmark's tracer rebinds it, so calls between modules are
+    recorded too.
+    """
+    calls: dict[str, list[tuple]] = {f.__name__: [] for f in functions}
+    for original in functions:
+
+        def recording(*args, original=original, **kwargs):
+            calls[original.__name__].append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "coniclines" or name.startswith("coniclines."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, recording)
+    return calls
 
 
 def scratch_facts(c: Combinatorics) -> tuple:
@@ -466,7 +497,7 @@ def stacked_rank_split(a: Arrangement, b, c) -> tuple[int, HomPoly | None]:
     rank, and the witness is the first of the same 10,000 seeded draws
     that lies in no c·S by `in_span`.
     """
-    report = check_hypotheses(a, b, c, singular_points(a))
+    report = check_hypotheses(combinatorics(a), b, c)
     n = a.degree_of(b) // 2
     kernel = through_points(n, report.intersection_points)
     cols = monomial_count(n)

@@ -14,7 +14,6 @@ from coniclines.incidence import (
     bezout_check,
     combinatorics,
     equivalences,
-    singular_points,
 )
 from coniclines.linalg import QMatrix, kernel_basis
 from coniclines.moduli import minimality_check, n_value
@@ -110,7 +109,7 @@ def test_criterion_2_matrix_dimensions():
     expected = {"pair1_B1": 1, "pair1_B2": 0, "pair2_B1": 0, "pair2_B2": 1}
     for name, dim in expected.items():
         a, b, c = split_of(load(name))
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         assert report.ok and len(report.intersection_points) == 9, name
         kernel = through_points(a.degree_of(b) // 2, report.intersection_points)
         assert len(kernel) - 1 == dim, name
@@ -128,7 +127,7 @@ def test_criterion_3_connected_numbers():
         assert analysis.connected == value, name
         if value == 2:
             assert witness is not None, name
-            report = check_hypotheses(a, b, c, singular_points(a))
+            report = check_hypotheses(combinatorics(a), b, c)
             for p in report.intersection_points:
                 assert value_at(witness, p.coords) == 0, name
             for comp in map(a.component, c):
@@ -211,16 +210,16 @@ def test_criterion_7_property_suites():
     # Bezout on the four examples and on 200 randomized arrangements
     for name in PAIR_FILES:
         a = load(name)
-        assert bezout_check(a, singular_points(a))
+        assert bezout_check(combinatorics(a))
     rng = random.Random(1234)
     for _ in range(200):
         a = random_arrangement(rng)
-        assert bezout_check(a, singular_points(a))
+        assert bezout_check(combinatorics(a))
 
     # kernel vanishing is exact on the examples
     for name in PAIR_FILES:
         a, b, c = split_of(load(name))
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         kernel = through_points(3, report.intersection_points)
         for f in (HomPoly(3, v) for v in kernel):
             for p in report.intersection_points:

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from coniclines.arrangement import parse
 from coniclines.incidence import Equivalences, intersect_line_conic
 from coniclines.poly import ProjPoint, cross
 
-from .conftest import PAIR_FILES, generic_lines, long_int
+from .conftest import PAIR_FILES, generic_lines, long_int, record_calls
 
 P1B1 = str(PAIR_FILES["pair1_B1"])
 P1B2 = str(PAIR_FILES["pair1_B2"])
@@ -85,6 +84,22 @@ def test_analyze_pair2_tables(capsys):
         frozenset(("L2", "C")),
         frozenset(("L3", "C")),
     }
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (PAIR_FILES["pair1_B1"].read_text(), "bezout check: OK (28 component pairs)"),
+        ("line L1 : 1 0 0\nline L2 : 0 1 0\n", "bezout check: OK (1 component pair)"),
+    ],
+    ids=["pair1_B1", "two_lines"],
+)
+def test_analyze_bezout_line_counts_component_pairs(capsys, tmp_path, text, line):
+    f = tmp_path / "a.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "analyze", str(f))
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
 
 
 def test_analyze_single_line(capsys, tmp_path):
@@ -586,41 +601,67 @@ def test_render_other_charts(capsys, tmp_path):
         assert out_file.read_text().count('class="component"') == 8
 
 
+PAIR1_RUNS = {
+    "analyze": ["analyze", P1B1],
+    "compare": ["compare", P1B1, P1B2],
+    "split": ["split", P1B1, "--branch", "B", "--curve", "CC"],
+    "zariski": ["zariski", P1B1, P1B2, "--branch1", "B", "--curve1", "CC",
+                "--branch2", "B", "--curve2", "CC"],
+    "minimality": ["minimality", P1B1, P1B2],
+    "render": ["render", P1B1, "-o", "OUT"],
+}
+
+
+def count_calls(capsys, tmp_path, monkeypatch, command, *functions) -> dict[str, int]:
+    """Calls of each function, by name, in one successful run of a `PAIR1_RUNS` command."""
+    calls = record_calls(monkeypatch, *functions)
+    argv = [str(tmp_path / "out.svg") if a == "OUT" else a for a in PAIR1_RUNS[command]]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return {name: len(args) for name, args in calls.items()}
+
+
 @pytest.mark.parametrize(
-    "argv, parses, searches",
+    "command, parses, searches",
     [
-        (["analyze", P1B1], 1, 1),
-        (["compare", P1B1, P1B2], 2, 2),
-        (["split", P1B1, "--branch", "B", "--curve", "CC"], 1, 1),
-        (["zariski", P1B1, P1B2, "--branch1", "B", "--curve1", "CC",
-          "--branch2", "B", "--curve2", "CC"], 2, 2),
-        (["minimality", P1B1, P1B2], 2, 2),
-        (["render", P1B1, "-o", "OUT"], 1, 1),
+        ("analyze", 1, 1),
+        ("compare", 2, 2),
+        ("split", 1, 1),
+        ("zariski", 2, 2),
+        ("minimality", 2, 2),
+        ("render", 1, 1),
     ],
-    ids=["analyze", "compare", "split", "zariski", "minimality", "render"],
+    ids=list(PAIR1_RUNS),
 )
 def test_each_command_parses_each_file_once_and_finds_its_singular_points_once(
-    capsys, tmp_path, monkeypatch, argv, parses, searches
+    capsys, tmp_path, monkeypatch, command, parses, searches
 ):
     from coniclines import arrangement, incidence
 
-    calls = Counter()
-    for original in (arrangement.parse, incidence.singular_points):
-
-        def counting(*args, original=original, **kwargs):
-            calls[original.__name__] += 1
-            return original(*args, **kwargs)
-
-        # every namespace that holds the function, as the benchmark's tracer rebinds it
-        for name, module in list(sys.modules.items()):
-            if name == "coniclines" or name.startswith("coniclines."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
-    argv = [str(tmp_path / "out.svg") if a == "OUT" else a for a in argv]
-    code, _, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
+    functions = (arrangement.parse, incidence.singular_points)
+    calls = count_calls(capsys, tmp_path, monkeypatch, command, *functions)
     assert calls == {"parse": parses, "singular_points": searches}
+
+
+@pytest.mark.parametrize(
+    "command, builds",
+    [
+        ("analyze", 0),
+        ("compare", 38),  # 19 points on each side, read by the equivalence search
+        ("split", 0),
+        ("zariski", 38),
+        ("minimality", 59),  # 38, and 21 restricted points of the sub-curve sweep
+        ("render", 0),
+    ],
+    ids=list(PAIR1_RUNS),
+)
+def test_point_facts_are_built_only_where_they_are_read(
+    capsys, tmp_path, monkeypatch, command, builds
+):
+    from coniclines import incidence
+
+    calls = count_calls(capsys, tmp_path, monkeypatch, command, incidence._point_facts)
+    assert calls == {"_point_facts": builds}
 
 
 def test_zariski_deterministic_report(capsys):

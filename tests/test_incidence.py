@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from coniclines import incidence
 from coniclines.arrangement import Arrangement, Component, conic_form, line_form, parse
 from coniclines.incidence import (
+    TACNODE,
     Combinatorics,
     ConjugatePair,
+    SingularPoint,
     _line_points,
     bezout_check,
     bezout_table,
@@ -30,6 +32,7 @@ from .conftest import (
     GRID,
     LINE_EXPONENTS,
     PAIR_FILES,
+    TWO_CONJUGATE_PAIRS,
     cleared,
     coefficient,
     every_bijection,
@@ -185,20 +188,22 @@ def test_single_line_no_singular_points():
 
 
 def test_node_counts_on_examples():
-    # 10 complex nodes in every example arrangement (conjugate pairs count 2)
+    # 10 complex nodes in every example arrangement (a conjugate pair is two records)
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         pts = singular_points(load(name))
-        nodes = sum(p.point_count for p in pts if p.local_type.kind == "node")
-        assert nodes == 10
+        nodes = [p for p in pts if p.local_type.kind == "node"]
+        assert len(nodes) == 10
 
 
 def test_conjugate_points_never_merge():
-    # a conjugate-pair record always has exactly the line and the conic
+    # a conjugate-pair record always has exactly the line and the conic,
+    # and the pair is two equal records, one per point
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
-        for pt in singular_points(load(name)):
+        pts = singular_points(load(name))
+        for pt in pts:
             if not pt.is_rational:
                 assert len(pt.branches) == 2
-                assert pt.point_count == 2
+                assert pts.count(pt) == 2
                 assert pt.local_type.kind == "node"
 
 
@@ -219,9 +224,11 @@ def test_intersections_match_sympy_oracle():
 
 
 def test_bezout_on_examples():
-    for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
-        a = load(name)
-        assert bezout_check(a, singular_points(a))
+    # in the last one, each line meets the conic only in a conjugate pair,
+    # whose two records give the line-conic sum 2
+    names = ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2")
+    for a in [*map(load, names), parse(TWO_CONJUGATE_PAIRS)]:
+        assert bezout_check(combinatorics(a))
         table = bezout_table(singular_points(a))
         for c1, c2 in itertools.combinations(a.components, 2):
             key = tuple(sorted((c1.label, c2.label)))
@@ -232,7 +239,7 @@ def test_bezout_on_examples():
 @given(st.integers(0, 2**32 - 1))
 def test_bezout_on_random_arrangements(seed):
     a = random_arrangement(random.Random(seed))
-    assert bezout_check(a, singular_points(a))
+    assert bezout_check(combinatorics(a))
 
 
 def test_combinatorics_within_pairs_equal():
@@ -418,9 +425,7 @@ def test_singular_point_restrict():
     a = Arrangement((CONIC, L1, extra), {})
     (pt,) = [p for p in singular_points(a) if len(p.branches) == 3]
     tac = pt.restrict(frozenset(("C", "L1")))
-    assert tac.location == pt.location and tac.point_count == 1
-    assert tac.local_type.kind == "tacnode"
-    assert tac.pair_mults == ((("C", "L1"), 2),)
+    assert tac == SingularPoint(pt.location, frozenset(("C", "L1")), ((("C", "L1"), 2),), TACNODE)
     assert pt.restrict(frozenset(("L1", "M"))).local_type.kind == "node"
     assert pt.restrict(frozenset(("C", "L2"))) is None
     assert pt.restrict(pt.branches) == pt

@@ -20,16 +20,18 @@ from coniclines.splitting import (
     zariski_certificate,
 )
 
-from coniclines.incidence import ConjugatePair, singular_points
+from coniclines.incidence import ConjugatePair, combinatorics, singular_points
 
 from .conftest import (
     PAIR_FILES,
+    TWO_CONJUGATE_PAIRS,
     from_sympy,
     in_span,
     load,
     multiplication_image,
     random_invertible_matrix,
     rank,
+    record_calls,
     relabelled_image,
     stacked_rank_split,
     tangent_split,
@@ -61,7 +63,7 @@ def connected_numbers(cert):
 
 def test_pair1_hypotheses_pass(pair1_b1):
     a, b, c = split_of(pair1_b1)
-    report = check_hypotheses(a, b, c, singular_points(a))
+    report = check_hypotheses(combinatorics(a), b, c)
     assert report.ok
     assert report.violations == ()
     assert len(report.intersection_points) == 9
@@ -71,7 +73,7 @@ def test_pair1_hypotheses_pass(pair1_b1):
 @pytest.mark.parametrize("name", ["pair1_B2", "pair2_B1", "pair2_B2"])
 def test_other_examples_hypotheses_pass(name):
     a, b, c = split_of(load(name))
-    report = check_hypotheses(a, b, c, singular_points(a))
+    report = check_hypotheses(combinatorics(a), b, c)
     assert report.ok
     assert len(report.intersection_points) == 9
 
@@ -79,7 +81,7 @@ def test_other_examples_hypotheses_pass(name):
 def test_odd_degree_branch_rejected(pair1_b1):
     b = ("L1",)
     c = ("C", "L2", "L3", "L4", "L5", "L6", "L7")
-    report = check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+    report = check_hypotheses(combinatorics(pair1_b1), b, c)
     assert "deg B = 1 is odd" in report.violations
     assert any("odd" in v for v in report.violations)
 
@@ -87,7 +89,7 @@ def test_odd_degree_branch_rejected(pair1_b1):
 def test_violation_names_a_triple_point_with_an(pair1_b1):
     b = ("L1",)
     c = ("C", "L2", "L3", "L4", "L5", "L6", "L7")
-    report = check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+    report = check_hypotheses(combinatorics(pair1_b1), b, c)
     triple = [v for v in report.violations if "triple" in v]
     assert triple and all(v.startswith("C has an ordinary triple point at [") for v in triple)
     assert not any(" a o" in v for v in report.violations)
@@ -97,7 +99,7 @@ def test_non_nodal_c_rejected(pair1_b1):
     # putting the tangent line L1 with the conic makes C carry a tacnode
     c = ("C", "L1")
     b = ("L2", "L3", "L4", "L5", "L6", "L7")
-    report = check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+    report = check_hypotheses(combinatorics(pair1_b1), b, c)
     assert "C has a tacnode at [0 : 1 : 1]" in report.violations
     assert any("tacnode" in v for v in report.violations)
 
@@ -114,25 +116,20 @@ line L4 : 1 2 0
     # L1..L3 all pass through [0:0:1]; C = {L1, L2} has its node there
     b = ("L3", "L4")
     c = ("L1", "L2")
-    report = check_hypotheses(a, b, c, singular_points(a))
+    report = check_hypotheses(combinatorics(a), b, c)
     assert any("passes through a singular point of C" in v for v in report.violations)
 
 
 def test_conjugate_intersection_across_split_rejected():
-    text = """
-conic Q : 1 1 -1 0 0 0
-line L1 : 0 1 -2
-line L2 : 0 1 -3
-"""
-    a = parse(text)
+    # each pair is two point records but one violation
+    a = parse(TWO_CONJUGATE_PAIRS)
     b = ("L1", "L2")  # even degree
     c = ("Q",)
-    report = check_hypotheses(a, b, c, singular_points(a))
-    assert any(
-        "irrational conjugate pair" in v and "rational support is required" in v
-        for v in report.violations
+    report = check_hypotheses(combinatorics(a), b, c)
+    assert report.violations == (
+        "B meets C at the irrational conjugate pair of L1 and Q; rational support is required",
+        "B meets C at the irrational conjugate pair of L2 and Q; rational support is required",
     )
-    assert any("conjugate" in v for v in report.violations)
 
 
 def test_split_must_partition(pair1_b1):
@@ -140,11 +137,11 @@ def test_split_must_partition(pair1_b1):
     c = ("L1", "L2", "L3")
     missing = r"do not cover the arrangement: missing \['L5', 'L6', 'L7'\]"
     with pytest.raises(ValueError, match=missing):
-        check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+        check_hypotheses(combinatorics(pair1_b1), b, c)
     overlapping = ("C", "L1", "L4", "L5", "L6", "L7")
     c2 = ("L1", "L2", "L3")
     with pytest.raises(ValueError, match=r"share components: \['L1'\]"):
-        check_hypotheses(pair1_b1, overlapping, c2, singular_points(pair1_b1))
+        check_hypotheses(combinatorics(pair1_b1), overlapping, c2)
 
 
 B1, CC1 = ("C", "L4", "L5", "L6", "L7"), ("L1", "L2", "L3")
@@ -162,7 +159,7 @@ B1, CC1 = ("C", "L4", "L5", "L6", "L7"), ("L1", "L2", "L3")
 def test_split_labels_are_checked(pair1_b1, b, c, message):
     # label tuples reach check_hypotheses unchecked: each fault is one input error
     with pytest.raises(ValueError) as exc:
-        check_hypotheses(pair1_b1, b, c, singular_points(pair1_b1))
+        check_hypotheses(combinatorics(pair1_b1), b, c)
     assert str(exc.value) == message
     assert not isinstance(exc.value, HypothesisError)
     with pytest.raises(ValueError, match=message):
@@ -175,7 +172,7 @@ def test_evaluation_matrix_ranks():
     expected = {"pair1_B1": 8, "pair1_B2": 9}
     for name, r in expected.items():
         a, b, c = split_of(load(name))
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         m = QMatrix.from_rows(
             [monomial_row(3, p) for p in report.intersection_points], cols=10
         )
@@ -193,7 +190,7 @@ def test_through_points_projective_dimensions():
     for name, dim in expected.items():
         a = load(name)
         _, b, c = split_of(a)
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         kernel = through_points(3, report.intersection_points)
         assert len(kernel) - 1 == dim, name
 
@@ -202,7 +199,7 @@ def test_kernel_contains_c_part_polynomial():
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         _, b, c = split_of(a)
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         kernel = through_points(3, report.intersection_points)
         product = sp.Mul(*(to_sympy(comp.form) for comp in map(a.component, c)))
         vec = from_sympy(product, a.degree_of(c)).primitive().coeffs
@@ -213,7 +210,7 @@ def test_kernel_vectors_vanish_at_all_points():
     for name in ("pair1_B1", "pair2_B2"):
         a = load(name)
         _, b, c = split_of(a)
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         kernel = through_points(3, report.intersection_points)
         for f in (HomPoly(3, v) for v in kernel):
             for p in report.intersection_points:
@@ -253,7 +250,7 @@ def test_witness_properties_pair1():
     witness = analysis.witness
     assert analysis.connected == 2
     assert witness is not None
-    report = check_hypotheses(a, b, c, singular_points(a))
+    report = check_hypotheses(combinatorics(a), b, c)
     for p in report.intersection_points:
         assert value_at(witness, p.coords) == 0
     for comp in map(a.component, c):
@@ -273,7 +270,7 @@ def test_divisibility_dual_oracle():
     for name in ("pair1_B1", "pair1_B2", "pair2_B1", "pair2_B2"):
         a = load(name)
         _, b, c = split_of(a)
-        report = check_hypotheses(a, b, c, singular_points(a))
+        report = check_hypotheses(combinatorics(a), b, c)
         K = through_points(3, report.intersection_points)
         for comp in map(a.component, c):
             if comp.degree > 3:
@@ -364,7 +361,7 @@ line T3 : 1 0 1
     a = parse(text)
     b = ("Q",)
     c = ("T1", "T2", "T3")
-    report = check_hypotheses(a, b, c, singular_points(a))
+    report = check_hypotheses(combinatorics(a), b, c)
     assert report.ok
     assert len(report.intersection_points) == 3
     assert through_points(1, report.intersection_points) == ()
@@ -444,18 +441,9 @@ def test_zariski_certificate_invariant_under_projective_relabelling(pair, seed):
 def test_zariski_certificate_finds_singular_points_once_per_arrangement(
     pair2_b1, pair2_b2, monkeypatch
 ):
-    from coniclines import incidence, splitting
-
-    calls = []
-
-    def counting(a):
-        calls.append(a)
-        return singular_points(a)
-
-    monkeypatch.setattr(incidence, "singular_points", counting)
-    monkeypatch.setattr(splitting, "singular_points", counting)
+    calls = record_calls(monkeypatch, singular_points)
     zariski_certificate(pair2_b1, pair2_b2, ("B", "CC"), ("B", "CC"))
-    assert calls == [pair2_b1, pair2_b2]
+    assert [a for (a,) in calls["singular_points"]] == [pair2_b1, pair2_b2]
 
 
 def test_zariski_certificate_self_is_inconclusive(pair1_b1):

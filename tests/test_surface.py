@@ -11,6 +11,8 @@ a method that shares its name with a used one passes unnoticed: a property
 
 The package also computes on integers only: `parse` clears the fractions
 of an input file, and only the `--window` bounds of `render` stay rational.
+And every name a module of the package imports is used in it, if only in
+an annotation; `__init__.py` imports to export.
 """
 
 import ast
@@ -78,3 +80,25 @@ def fractions_importers() -> set[str]:
 
 def test_only_the_window_code_imports_fractions():
     assert fractions_importers() <= {"cli.py", "render.py"}
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names the module imports but never loads, annotations included."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - loaded
+
+
+def test_every_import_is_used():
+    unused = {
+        (path.name, name)
+        for path, tree in zip(PACKAGE, _trees(PACKAGE))
+        if path.name != "__init__.py"
+        for name in unused_imports(tree)
+    }
+    assert unused == set()
