@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .poly import HomPoly
@@ -69,10 +70,6 @@ def parse_rational(token: str) -> tuple[int, int]:
         raise ValueError(f"integer longer than {limit}") from None
 
 
-def line_form(coeffs: Iterable[int]) -> HomPoly:
-    return HomPoly(1, coeffs)
-
-
 def conic_form(coeffs: Iterable[int]) -> HomPoly:
     vals = tuple(coeffs)
     if len(vals) != 6:
@@ -94,18 +91,14 @@ def conic_matrix_determinant(form: HomPoly) -> int:
 
 @dataclass(frozen=True)
 class Component:
-    """A labeled smooth component: a line or a smooth conic."""
+    """A labeled smooth component: a line (degree 1) or a smooth conic (degree 2)."""
 
     label: str
-    kind: str  # "line" | "conic"
     form: HomPoly
 
     def __post_init__(self):
-        if self.kind not in ("line", "conic"):
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        expected = 1 if self.kind == "line" else 2
-        if self.form.degree != expected:
-            raise ValueError(f"{self.kind} must have degree {expected}")
+        if self.form.degree not in (1, 2):
+            raise ValueError(f"a component is a line or a conic, not of degree {self.form.degree}")
         if self.form.is_zero():
             raise ValueError("component form is identically zero")
         # every stored form is primitive-integer, whoever built it: all later
@@ -113,6 +106,10 @@ class Component:
         object.__setattr__(self, "form", self.form.primitive())
         if self.kind == "conic" and conic_matrix_determinant(self.form) == 0:
             raise ValueError(f"conic {self.label} is singular (not smooth)")
+
+    @property
+    def kind(self) -> str:  # "line" | "conic"
+        return "line" if self.form.degree == 1 else "conic"
 
     @property
     def degree(self) -> int:
@@ -143,10 +140,7 @@ class Arrangement:
             conic = conic or comp.kind == "conic"
         for name, members in self.subcurves.items():
             check_subcurve(labels, name, members)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.components)
+        object.__setattr__(self, "subcurves", MappingProxyType(dict(self.subcurves)))
 
     @property
     def degree(self) -> int:
@@ -244,8 +238,8 @@ def parse(text: str) -> Arrangement:
             den = math.lcm(*(d for _, d in ratios))
             coeffs = [n * (den // d) for n, d in ratios]
             try:
-                form = line_form(coeffs) if keyword == "line" else conic_form(coeffs)
-                components.append(Component(label, keyword, form))
+                form = HomPoly(1, coeffs) if keyword == "line" else conic_form(coeffs)
+                components.append(Component(label, form))
             except ValueError as exc:
                 raise _error(str(exc), lineno, line, 1)
             positions.append((lineno, line))

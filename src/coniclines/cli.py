@@ -19,6 +19,7 @@ import traceback
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 from .arrangement import Arrangement, HypothesisError, parse, parse_rational
 from .incidence import (
@@ -78,23 +79,17 @@ def cmd_analyze(args) -> int:
     if not comb.points:
         out.append("no singular points")
     else:
-        groups: dict[str, list] = {}
+        groups: dict[LocalType, list] = {}
         for pt in comb.points:
-            groups.setdefault(pt.local_type.display(), []).append(pt)
-        order = sorted(
-            groups,
-            key=lambda k: (
-                {"tacnode": 1, "node": 2}.get(k, 0 if "ordinary" in k else 3),
-                k,
-            ),
-        )
+            groups.setdefault(pt.local_type, []).append(pt)
+        rank = {"ordinary": 0, "tacnode": 1, "node": 2, "other": 3}
         out.append("singular points:")
-        for key in order:
-            pts = groups[key]
-            name = pts[0].local_type.display(plural=True)
+        for t in sorted(groups, key=lambda t: (rank[t.kind], t.display())):
+            pts = groups[t]
+            name = t.display(plural=True)
             rational = [p for p in pts if p.is_rational]
             conj = list(dict.fromkeys(p for p in pts if not p.is_rational))  # each pair once
-            if key == "node":
+            if t.kind == "node":
                 detail = f"{len(rational)} rational"
                 if conj:
                     detail += f" + {len(conj)} conjugate pair{'s' if len(conj) != 1 else ''}"
@@ -123,7 +118,7 @@ def _count_summary(counts: dict[LocalType, int]) -> str:
     return ", ".join(f"{v} {t.display(plural=v != 1)}" for t, v in ordered) or "no singular points"
 
 
-def _mapping(m: dict[str, str]) -> str:
+def _mapping(m: Mapping[str, str]) -> str:
     return ", ".join(f"{k}->{v}" for k, v in m.items())
 
 
@@ -147,7 +142,7 @@ def cmd_compare(args) -> int:
         conic = a.conic
         if conic is not None:
             _, entries = c.fingerprints[conic.label]
-            type_counts = Counter(LocalType(*key) for key, _others in entries)
+            type_counts = Counter(local_type for local_type, _others in entries)
             out.append(f"conic fingerprint of {name}: {_count_summary(type_counts)}")
     print("\n".join(out))
     return EXIT_OK

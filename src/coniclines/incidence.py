@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .arrangement import Arrangement, Component
 from .linalg import primitive
@@ -97,17 +98,23 @@ def intersect_line_conic(
     return ConjugatePair(disc, line.label, conic.label)
 
 
-@dataclass(frozen=True)
-class LocalType:
-    """Local type of a singular point: node, tacnode, ordinary m-fold, other."""
+class LocalType(NamedTuple):
+    """Local type of a singular point: node, tacnode, ordinary m-fold, other.
 
-    kind: str  # "node" | "tacnode" | "ordinary" | "other"
+    The branch count and the pairwise multiplicities determine the type, so
+    they are its only fields; `classify` gives one shared value per type.
+    """
+
     branch_count: int
     signature: tuple[int, ...]  # sorted pairwise intersection multiplicities
 
-    @cached_property
-    def key(self) -> tuple:
-        return (self.kind, self.branch_count, self.signature)
+    @property
+    def kind(self) -> str:  # "node" | "tacnode" | "ordinary" | "other"
+        if self.branch_count == 2 and self.signature in ((1,), (2,)):
+            return "node" if self.signature == (1,) else "tacnode"
+        if self.branch_count >= 3 and all(m == 1 for m in self.signature):
+            return "ordinary"
+        return "other"
 
     def display(self, plural: bool = False) -> str:
         """The name of the type.
@@ -128,18 +135,8 @@ class LocalType:
         return f"{name} points" if plural else name
 
 
-def classify(branch_count: int, signature: tuple[int, ...]) -> LocalType:
-    """The local type of a point; every node, and every tacnode, is one shared value."""
-    if branch_count == 2 and signature == (1,):
-        return NODE
-    if branch_count == 2 and signature == (2,):
-        return TACNODE
-    if branch_count >= 3 and all(m == 1 for m in signature):
-        return LocalType("ordinary", branch_count, signature)
-    return LocalType("other", branch_count, signature)
-
-
-NODE, TACNODE = LocalType("node", 2, (1,)), LocalType("tacnode", 2, (2,))
+# the local type of a point, one shared value per type: equal types are identical
+classify = lru_cache(maxsize=None)(LocalType)
 
 
 PairMults = tuple[tuple[tuple[str, str], int], ...]
@@ -177,7 +174,7 @@ class SingularPoint:
             mults.append(((x, y) if x <= y else (y, x), m))
         mults.sort()
         branches = tuple(sorted([mapping[l] for l in self.branches]))
-        return (self.local_type.key, branches, tuple(mults))
+        return (self.local_type, branches, tuple(mults))
 
     def restrict(self, keep: frozenset[str]) -> SingularPoint | None:
         """The same point on the sub-arrangement `keep`; None if it is smooth there."""
@@ -263,7 +260,7 @@ class PointFacts(NamedTuple):
 
 
 def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
-    key = rec.local_type.key
+    key = rec.local_type
     labels = tuple(sorted(rec.branches))
     degrees = sorted([degree[l] for l in labels])
     fingerprint = []
@@ -385,17 +382,17 @@ class Equivalences:
     φ∘t₀∘…∘tₙ₋₁ in exactly one way, each tᵢ the identity or in
     `transversals[i]`: a base and strong generating set of Aut(c1) (McKay &
     Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
-    `len` is ∏(1 + |Tᵢ|).
+    `len` is ∏(1 + |Tᵢ|).  φ and the transversal elements are read-only mappings.
     """
 
-    phi: dict[str, str] | None
-    transversals: tuple[tuple[dict[str, str], ...], ...] = ()
+    phi: Mapping[str, str] | None
+    transversals: tuple[tuple[Mapping[str, str], ...], ...] = ()
 
     def __len__(self) -> int:
         return 0 if self.phi is None else math.prod(1 + len(t) for t in self.transversals)
 
     @cached_property
-    def generators(self) -> tuple[dict[str, str], ...]:
+    def generators(self) -> tuple[Mapping[str, str], ...]:
         """Every transversal element: automorphisms of c1 that generate all of them."""
         return tuple(t for level in self.transversals for t in level)
 
@@ -460,7 +457,7 @@ def equivalences(c1: Combinatorics, c2: Combinatorics, find_all: bool = True) ->
         found = first(0)
         if found is None:
             return Equivalences(None)
-        phi = {l: found[l] for l in fp1}
+        phi = MappingProxyType({l: found[l] for l in fp1})
         if not find_all:
             return Equivalences(phi)
         inverse = {m: l for l, m in phi.items()}
@@ -468,10 +465,9 @@ def equivalences(c1: Combinatorics, c2: Combinatorics, find_all: bool = True) ->
         for i, l in enumerate(order):
             # the candidates before φ(l) already failed on the way to φ
             later = candidates[l][candidates[l].index(phi[l]) + 1 :]
-            found_here = (first(i, [m]) for m in later)
-            transversals.append(
-                tuple({k: inverse[psi[k]] for k in phi} for psi in found_here if psi is not None)
-            )
+            found_here = [psi for psi in (first(i, [m]) for m in later) if psi is not None]
+            automorphisms = ({k: inverse[psi[k]] for k in phi} for psi in found_here)
+            transversals.append(tuple(map(MappingProxyType, automorphisms)))
             mapping[l] = phi[l]
             used.add(phi[l])
         return Equivalences(phi, tuple(transversals))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .arrangement import Arrangement, HypothesisError
 from .incidence import Combinatorics, combinatorics, equivalences
@@ -232,7 +232,7 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
             m = parent[m]
         return m
 
-    def link(phi: dict[str, str]):
+    def link(phi: Mapping[str, str]):
         masks, images = [0], [0]  # every subset of the domain, and its image
         for l, image in phi.items():
             masks += [m | bit[l] for m in masks]

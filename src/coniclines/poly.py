@@ -59,32 +59,27 @@ def digits(n: int) -> str:
     return sign + str(head) + "".join(f"{chunk:0500d}" for chunk in rest)
 
 
-class ProjPoint:
-    """A point of the rational projective plane in canonical form.
+class ProjPoint(tuple):
+    """A point of the rational projective plane: its canonical coordinate triple.
 
-    Coordinates are stored as coprime integers with the first nonzero one
-    positive, so proportional triples compare and hash equal.
+    The coordinates are coprime integers with the first nonzero one
+    positive, so proportional triples give equal points; equality, hashing
+    and order are the tuple's.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ()
 
-    def __init__(self, x, y, z):
+    def __new__(cls, x, y, z):
         coords = primitive((x, y, z))
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", coords)
+        return tuple.__new__(cls, coords)
 
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __lt__(self, other):
-        return self.coords < other.coords
+    def __getnewargs__(self):  # copy and pickle rebuild the point from its three coordinates
+        return tuple(self)
 
     def __repr__(self):
-        return f"[{' : '.join(digits(c) for c in self.coords)}]"
+        return f"[{' : '.join(digits(c) for c in self)}]"
 
 
 class HomPoly:
@@ -190,7 +185,7 @@ def monomial_row(n: int, p: ProjPoint) -> QVector:
     """Row of all degree-n monomials evaluated at the canonical representative."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    px, py, pz = p.coords
+    px, py, pz = p
     return tuple((px**a) * (py**b) * (pz**c) for a, b, c in monomials(n))
 
 

@@ -302,7 +302,7 @@ def render_svg(
     conic = a.conic.label if a.conic else None
     out.append('  <g class="markers" fill="#000000" font-size="12" font-family="monospace">')
     for pt in marked:
-        cc = _chart_point(canvas.order, pt.location.coords)
+        cc = _chart_point(canvas.order, pt.location)
         if cc is None:
             continue
         u, v = cc

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from coniclines import parse
-from coniclines.arrangement import CONIC_EXPONENTS, Arrangement, Component, conic_form, line_form
+from coniclines.arrangement import CONIC_EXPONENTS, Arrangement, Component, conic_form
 from coniclines.incidence import (
     Combinatorics,
     ConjugatePair,
@@ -86,6 +86,11 @@ def serialize(a: Arrangement) -> str:
 
 def load(name: str) -> Arrangement:
     return parse(PAIR_FILES[name].read_text(encoding="utf-8"))
+
+
+def component_labels(a: Arrangement) -> tuple[str, ...]:
+    """The labels of a's components, in their order."""
+    return tuple(c.label for c in a.components)
 
 
 def sub_arrangement(a: Arrangement, labels) -> Arrangement:
@@ -171,10 +176,10 @@ def scratch_facts(c: Combinatorics) -> tuple:
     for rec in c.points:
         for l in rec.branches:
             others = tuple(sorted(degree[o] for o in rec.branches if o != l))
-            entries[l].append((rec.local_type.key, others))
+            entries[l].append((rec.local_type, others))
         for pair, m in rec.pair_mults:
-            profiles.setdefault(pair, []).append((rec.local_type.key, m, len(rec.branches)))
-    keys = sorted((r.local_type.key, tuple(sorted(r.branches)), r.pair_mults) for r in c.points)
+            profiles.setdefault(pair, []).append((rec.local_type, m, len(rec.branches)))
+    keys = sorted((r.local_type, tuple(sorted(r.branches)), r.pair_mults) for r in c.points)
     return (
         {l: (d, tuple(sorted(entries[l]))) for l, d in degree.items()},
         {k: tuple(sorted(v)) for k, v in profiles.items()},
@@ -192,8 +197,8 @@ def every_subset_classes(a: Arrangement) -> list[tuple]:
     ordered as in the report.
     """
     classes = []  # [representative, combinatorics, count]
-    for r in range(1, len(a.labels)):
-        for subset in itertools.combinations(a.labels, r):
+    for r in range(1, len(component_labels(a))):
+        for subset in itertools.combinations(component_labels(a), r):
             comb = combinatorics(sub_arrangement(a, subset))
             for cls in classes:
                 if equivalences(comb, cls[1], find_all=False):
@@ -229,7 +234,7 @@ def random_line(rng: random.Random) -> HomPoly:
     while True:
         coeffs = [rng.randint(-6, 6) for _ in range(3)]
         if any(coeffs):
-            return line_form(coeffs).primitive()
+            return HomPoly(1, coeffs).primitive()
 
 
 def random_smooth_conic(rng: random.Random) -> HomPoly:
@@ -254,7 +259,7 @@ def random_arrangement(
         with_conic = rng.random() < 0.5
     if with_conic:
         q = random_smooth_conic(rng)
-        components.append(Component("C", "conic", q))
+        components.append(Component("C", q))
         forms.add(q)
     n = rng.randint(1, max_lines)
     i = 0
@@ -263,7 +268,7 @@ def random_arrangement(
         if f in forms:
             continue
         forms.add(f)
-        components.append(Component(f"L{i + 1}", "line", f))
+        components.append(Component(f"L{i + 1}", f))
         i += 1
     return Arrangement(tuple(components), {})
 
@@ -313,7 +318,7 @@ def transform_arrangement(a: Arrangement, m) -> Arrangement:
     """
     images = {v: row[0] * X + row[1] * Y + row[2] * Z for v, row in zip((X, Y, Z), m)}
     new_components = tuple(
-        Component(c.label, c.kind, from_sympy(to_sympy(c.form).xreplace(images), c.degree))
+        Component(c.label, from_sympy(to_sympy(c.form).xreplace(images), c.degree))
         for c in a.components
     )
     return Arrangement(new_components, dict(a.subcurves))
@@ -324,8 +329,8 @@ def relabelled_image(a: Arrangement, rng: random.Random) -> Arrangement:
     moved = transform_arrangement(a, random_invertible_matrix(rng))
     names = [f"M{i}" for i in range(len(moved.components))]
     rng.shuffle(names)
-    rename = dict(zip(moved.labels, names))
-    renamed = [Component(rename[c.label], c.kind, c.form) for c in moved.components]
+    rename = dict(zip(component_labels(moved), names))
+    renamed = [Component(rename[c.label], c.form) for c in moved.components]
     rng.shuffle(renamed)
     subcurves = {n: tuple(rename[l] for l in ls) for n, ls in moved.subcurves.items()}
     return Arrangement(tuple(renamed), subcurves)
@@ -345,9 +350,9 @@ def symmetric_arrangement(rng: random.Random) -> Arrangement:
     pencil = rng.sample(range(-5, 6), rng.randint(2, 3)) if kind == 2 else []
     ts = rng.sample([t for t in range(-5, 6) if t], rng.randint(2, (6, 5, 3)[kind]))
     forms = [(1, s, 0) for s in pencil] + [(1, t, t * t) for t in ts]
-    components = [Component(f"L{i + 1}", "line", line_form(f)) for i, f in enumerate(forms)]
+    components = [Component(f"L{i + 1}", HomPoly(1, f)) for i, f in enumerate(forms)]
     if kind == 1 or (kind == 2 and rng.random() < 0.5):
-        components.insert(0, Component("C", "conic", conic_form((0, 1, 0, 0, -4, 0))))
+        components.insert(0, Component("C", conic_form((0, 1, 0, 0, -4, 0))))
     return Arrangement(tuple(components), {})
 
 

@@ -129,7 +129,7 @@ def test_criterion_3_connected_numbers():
             assert witness is not None, name
             report = check_hypotheses(combinatorics(a), b, c)
             for p in report.intersection_points:
-                assert value_at(witness, p.coords) == 0, name
+                assert value_at(witness, p) == 0, name
             for comp in map(a.component, c):
                 assert not sympy_divides(witness, comp.form), name
     print(
@@ -150,8 +150,8 @@ def test_criterion_4_combinatorics(capsys):
 
     def counts(fp):
         _, entries = fp
-        triples = sum(1 for k, _ in entries if k[0] == "ordinary" and k[1] == 3)
-        tacs = sum(1 for k, _ in entries if k[0] == "tacnode")
+        triples = sum(1 for t, _ in entries if t.kind == "ordinary" and t.branch_count == 3)
+        tacs = sum(1 for t, _ in entries if t.kind == "tacnode")
         return triples, tacs
 
     assert counts(combinatorics(load("pair1_B1")).fingerprints["C"]) == (2, 2)
@@ -223,7 +223,7 @@ def test_criterion_7_property_suites():
         kernel = through_points(3, report.intersection_points)
         for f in (HomPoly(3, v) for v in kernel):
             for p in report.intersection_points:
-                assert value_at(f, p.coords) == 0
+                assert value_at(f, p) == 0
 
     # rank dual oracle (fraction-free vs naive fractions) up to 12x12
     rng = random.Random(4321)

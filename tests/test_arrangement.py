@@ -13,7 +13,6 @@ from coniclines.arrangement import (
     ParseError,
     conic_form,
     conic_matrix_determinant,
-    line_form,
     parse,
 )
 from coniclines.poly import HomPoly
@@ -234,15 +233,15 @@ def test_roundtrip_random_arrangements(seed):
 
 
 def test_component_validation():
-    with pytest.raises(ValueError):
-        Component("L", "line", conic_form([1, 1, 1, 0, 0, 0]))
+    with pytest.raises(ValueError, match="degree 3"):
+        Component("L", HomPoly(3, [1] + [0] * 9))
     with pytest.raises(ValueError, match="singular"):
-        Component("Q", "conic", conic_form([0, 0, 0, 1, 0, 0]).primitive())
+        Component("Q", conic_form([0, 0, 0, 1, 0, 0]).primitive())
 
 
 def test_arrangement_validation_direct():
-    l1 = Component("L1", "line", line_form([1, 0, 0]))
-    l1b = Component("L2", "line", line_form([2, 0, 0]))
+    l1 = Component("L1", HomPoly(1, [1, 0, 0]))
+    l1b = Component("L2", HomPoly(1, [2, 0, 0]))
     with pytest.raises(ValueError, match="proportional"):
         Arrangement((l1, l1b), {})
     with pytest.raises(ValueError, match="unknown label"):
@@ -252,8 +251,8 @@ def test_arrangement_validation_direct():
 
 
 def test_proportional_components_rejected_before_normalization():
-    l1 = Component("L1", "line", HomPoly(1, (1, -2, 3)))
-    l2 = Component("L2", "line", HomPoly(1, (2, -4, 6)))
+    l1 = Component("L1", HomPoly(1, (1, -2, 3)))
+    l2 = Component("L2", HomPoly(1, (2, -4, 6)))
     assert l1.form == l2.form
     with pytest.raises(ValueError, match="proportional"):
         Arrangement((l1, l2), {})

@@ -172,7 +172,7 @@ def test_analyze_prints_a_point_past_the_digit_limit(capsys, tmp_path):
     assert (code, err) == (0, "")
     point = re.search(r"\{L1, L2\} at \[(\S+) : (\S+) : (\S+)\]", out).groups()
     assert len(point[2]) > 4300
-    expected = ProjPoint(*cross((LONG_A, LONG_B, 1), (LONG_B, -LONG_A, 1))).coords
+    expected = ProjPoint(*cross((LONG_A, LONG_B, 1), (LONG_B, -LONG_A, 1)))
     assert tuple(map(long_int, point)) == expected
     assert "bezout check: OK" in out
 

@@ -31,6 +31,7 @@ from .conftest import (
     GRID,
     PAIR_FILES,
     backtracking_certificate,
+    component_labels,
     every_subset_classes,
     generic_lines,
     load,
@@ -100,7 +101,7 @@ def test_certificate_bare_conic():
 
 def test_certificate_pure_lines():
     a = load("pair1_B1")
-    lines_only = sub_arrangement(a, [l for l in a.labels if l != "C"])
+    lines_only = sub_arrangement(a, [l for l in component_labels(a) if l != "C"])
     cert = connectivity_certificate(combinatorics(lines_only))
     assert cert is not None
     assert cert.base_rule == "PureLinesAtMost9"
@@ -226,7 +227,7 @@ def test_bundled_minimality_n_value_count(name, most, monkeypatch):
 @pytest.mark.parametrize("drop", ["L1", "L4", "L7"])
 def test_certificates_for_single_line_deletions(name, drop):
     a = load(name)
-    sub = sub_arrangement(a, [l for l in a.labels if l != drop])
+    sub = sub_arrangement(a, [l for l in component_labels(a) if l != drop])
     c = combinatorics(sub)
     cert = connectivity_certificate(c)
     assert cert is not None
@@ -235,10 +236,10 @@ def test_certificates_for_single_line_deletions(name, drop):
 
 
 def test_certificate_label_independent(pair1_b1):
-    sub = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L4"])
-    renamed = {l: f"X{i}" for i, l in enumerate(sub.labels)}
+    sub = sub_arrangement(pair1_b1, [l for l in component_labels(pair1_b1) if l != "L4"])
+    renamed = {l: f"X{i}" for i, l in enumerate(component_labels(sub))}
     relabeled = Arrangement(
-        tuple(Component(renamed[c.label], c.kind, c.form) for c in sub.components), {}
+        tuple(Component(renamed[c.label], c.form) for c in sub.components), {}
     )
     cert = connectivity_certificate(combinatorics(relabeled))
     assert cert is not None
@@ -485,10 +486,10 @@ def test_minimality_report_names_unknown_class():
 
 
 def test_replay_rejects_wrong_certificate(pair1_b1):
-    sub = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L4"])
+    sub = sub_arrangement(pair1_b1, [l for l in component_labels(pair1_b1) if l != "L4"])
     c = combinatorics(sub)
     cert = connectivity_certificate(c)
-    other = sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != "L5"])
+    other = sub_arrangement(pair1_b1, [l for l in component_labels(pair1_b1) if l != "L5"])
     assert not replay_certificate(combinatorics(other), cert)
 
 
@@ -506,7 +507,8 @@ def test_replay_rejects_wrong_certificate(pair1_b1):
     ],
 )
 def test_replay_rejects_malformed_certificate(pair1_b1, drop, change):
-    c = combinatorics(sub_arrangement(pair1_b1, [l for l in pair1_b1.labels if l != drop]))
+    kept = [l for l in component_labels(pair1_b1) if l != drop]
+    c = combinatorics(sub_arrangement(pair1_b1, kept))
     cert = connectivity_certificate(c)
     assert replay_certificate(c, cert)
     assert replay_certificate(c, dataclasses.replace(cert, **change)) is False

@@ -1,5 +1,7 @@
 """Homogeneous polynomials: monomial order, evaluation, monomial rows, products by forms."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -62,14 +64,20 @@ def test_monomial_order_is_graded_lex():
 
 def test_projpoint_canonical_form():
     assert ProjPoint(0, 1, 1) == ProjPoint(0, 2, 2)
-    assert ProjPoint(-1, 2, 5).coords == (1, -2, -5)
+    assert ProjPoint(-1, 2, 5) == (1, -2, -5)
     with pytest.raises(ValueError):
         ProjPoint(0, 0, 0)
 
 
+def test_projpoint_copies_and_pickles_as_a_point():
+    p = ProjPoint(-4, 6, -10)
+    for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(again) is ProjPoint and again == p
+
+
 def test_normalize_twice_is_idempotent():
     p = ProjPoint(-4, 6, -10)
-    again = ProjPoint(*p.coords)
+    again = ProjPoint(*p)
     assert p == again
 
 
@@ -109,7 +117,7 @@ def test_monomial_row_rejects_degree_zero():
 @settings(max_examples=100, deadline=None)
 def test_monomial_row_matches_evaluation(f, p):
     row = monomial_row(3, p)
-    assert sum(a * b for a, b in zip(row, f.coeffs)) == value_at(f, p.coords)
+    assert sum(a * b for a, b in zip(row, f.coeffs)) == value_at(f, p)
 
 
 def test_multiplication_image_dimensions():

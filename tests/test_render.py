@@ -64,9 +64,9 @@ def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
 
     The reference the integer sweep of `_conic_samples` is compared against.
     """
-    if abs(p0.coords[0]) == max(abs(v) for v in p0.coords):
+    if abs(p0[0]) == max(abs(v) for v in p0):
         d1, d2 = ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)
-    elif abs(p0.coords[1]) == max(abs(v) for v in p0.coords):
+    elif abs(p0[1]) == max(abs(v) for v in p0):
         d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 0, 1)
     else:
         d1, d2 = ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)
@@ -82,12 +82,12 @@ def fraction_samples(q: HomPoly, p0: ProjPoint, count: int) -> list[ProjPoint]:
     params.append((Fraction(1), Fraction(0)))
     samples = []
     for s, t in params:
-        d = tuple(s * a + t * b for a, b in zip(d1.coords, d2.coords))
+        d = tuple(s * a + t * b for a, b in zip(d1, d2))
         if not any(d):
             continue
         qd = value_at(q, d)
-        pol = polar(p0.coords, d)
-        coords = tuple(qd * a - pol * b for a, b in zip(p0.coords, d))
+        pol = polar(p0, d)
+        coords = tuple(qd * a - pol * b for a, b in zip(p0, d))
         if any(coords):
             samples.append(ProjPoint(*cleared(coords)))
     return samples
@@ -140,17 +140,17 @@ def test_integer_sweep_equals_fraction_sweep(point, coeffs, count):
     p0 = ProjPoint(*point)
     # q = g * x_i^2(p0) - g(p0) * x_i^2 vanishes at p0, where x_i is a
     # coordinate that is nonzero at p0
-    i = next(k for k, v in enumerate(p0.coords) if v)
+    i = next(k for k, v in enumerate(p0) if v)
     square = CONIC_EXPONENTS[i]
-    x, y, z = p0.coords
-    weight = p0.coords[i] ** 2
+    x, y, z = p0
+    weight = p0[i] ** 2
     shift = sum(c * x**e[0] * y**e[1] * z**e[2] for c, e in zip(coeffs, CONIC_EXPONENTS))
     values = [c * weight - (shift if e == square else 0) for c, e in zip(coeffs, CONIC_EXPONENTS)]
     assume(any(values))
     q = conic_form(values)
     assume(conic_matrix_determinant(q) != 0)
-    assert value_at(q, p0.coords) == 0
-    samples = _conic_samples(q, p0.coords, count)
+    assert value_at(q, p0) == 0
+    samples = _conic_samples(q, p0, count)
     assert [ProjPoint(*p) for p in samples] == fraction_samples(q, p0, count)
     assert len(samples) == count
     assert all(value_at(q, p) == 0 for p in samples)

@@ -214,7 +214,7 @@ def test_kernel_vectors_vanish_at_all_points():
         kernel = through_points(3, report.intersection_points)
         for f in (HomPoly(3, v) for v in kernel):
             for p in report.intersection_points:
-                assert value_at(f, p.coords) == 0
+                assert value_at(f, p) == 0
 
 
 def test_through_points_rejects_duplicates():
@@ -252,7 +252,7 @@ def test_witness_properties_pair1():
     assert witness is not None
     report = check_hypotheses(combinatorics(a), b, c)
     for p in report.intersection_points:
-        assert value_at(witness, p.coords) == 0
+        assert value_at(witness, p) == 0
     for comp in map(a.component, c):
         assert not sympy_divides(witness, comp.form)
 
@@ -336,7 +336,7 @@ def test_witness_falls_back_to_the_moment_curve(name, monkeypatch):
     assert analysis.connected == 2
     witness = analysis.witness
     for p in analysis.intersection_points:
-        assert value_at(witness, p.coords) == 0
+        assert value_at(witness, p) == 0
     for comp in map(a.component, c):
         assert not sympy_divides(witness, comp.form)
         assert not divides(comp.form, witness.coeffs, witness.degree)
@@ -386,7 +386,7 @@ def test_connected_number_invariant_under_relabeling(pair1_b1):
     renamed = {"C": "Q", "L1": "M1", "L2": "M2", "L3": "M3",
                "L4": "M4", "L5": "M5", "L6": "M6", "L7": "M7"}
     comps = tuple(
-        Component(renamed[c.label], c.kind, c.form) for c in pair1_b1.components
+        Component(renamed[c.label], c.form) for c in pair1_b1.components
     )
     sub = {
         name: tuple(renamed[l] for l in labels)
@@ -482,9 +482,9 @@ def test_bundled_pipeline_is_integer_valued(name):
             values.append(pt.location.discriminant)
             conjugates += 1
         else:
-            values.extend(pt.location.coords)
+            values.extend(pt.location)
     analysis = analyze_split(*split_of(a))
-    values.extend(v for p in analysis.intersection_points for v in p.coords)
+    values.extend(v for p in analysis.intersection_points for v in p)
     values.extend(v for vec in analysis.kernel for v in vec)
     if analysis.witness is not None:
         values.extend(analysis.witness.coeffs)

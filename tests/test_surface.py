@@ -13,12 +13,25 @@ The package also computes on integers only: `parse` clears the fractions
 of an input file, and only the `--window` bounds of `render` stay rational.
 And every name a module of the package imports is used in it, if only in
 an annotation; `__init__.py` imports to export.
+
+Its values are immutable: every class it defines is an exception, a frozen
+dataclass or a tuple, bar two listed ones, and each kind of value refuses
+a write.
 """
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
+import pytest
+
 import coniclines
+from coniclines import combinatorics, equivalences, parse
+from coniclines.incidence import classify
+from coniclines.poly import ProjPoint
+
+from .conftest import generic_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "coniclines").glob("*.py"))
@@ -102,3 +115,62 @@ def test_every_import_is_used():
         for name in unused_imports(tree)
     }
     assert unused == set()
+
+
+# the classes that are neither exceptions, frozen dataclasses nor tuples
+MUTABLE_BY_DESIGN = {
+    "HomPoly",  # its `__setattr__` refuses every write
+    "_Canvas",  # private to `render_svg`, built once per call and never handed out
+}
+
+
+def defined_classes() -> list[type]:
+    """Every class that a module of the package defines."""
+    found = []
+    for path in PACKAGE:
+        if not path.stem.startswith("__"):
+            module = importlib.import_module(f"coniclines.{path.stem}")
+            found += [
+                obj
+                for obj in vars(module).values()
+                if isinstance(obj, type) and obj.__module__ == module.__name__
+            ]
+    return found
+
+
+def test_every_class_is_immutable():
+    classes = defined_classes()
+    # a class defined inside a function would escape the module scan
+    class_defs = {
+        node.name
+        for tree in _trees(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    assert {cls.__name__ for cls in classes} == class_defs
+    loose = {
+        cls.__name__
+        for cls in classes
+        if not issubclass(cls, (BaseException, tuple))
+        and not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+    }
+    assert loose == MUTABLE_BY_DESIGN
+
+
+A = parse(generic_lines(3) + "curve B = L1 L2\n")
+EQS = equivalences(combinatorics(A), combinatorics(A))
+MUTATIONS = {
+    "point": lambda: setattr(ProjPoint(1, 2, 3), "coords", (5, 5, 5)),
+    "form": lambda: setattr(A.components[0].form, "coeffs", (1, 0, 0)),
+    "component": lambda: setattr(A.components[0], "label", "X"),
+    "local-type": lambda: setattr(classify(2, (1,)), "branch_count", 3),
+    "subcurves": lambda: A.subcurves.__setitem__("X", ("nope",)),
+    "phi": lambda: EQS.phi.__setitem__("L1", "L2"),
+    "generator": lambda: EQS.generators[0].__setitem__("L1", "L2"),
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=list(MUTATIONS))
+def test_values_refuse_mutation(mutate):
+    with pytest.raises((AttributeError, TypeError)):
+        mutate()
