@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .arrangement import Arrangement, HypothesisError
 from .incidence import Combinatorics, combinatorics, equivalences
@@ -187,8 +187,24 @@ class SharedClassResult:
 class MinimalityReport:
     deletions: tuple[DeletionResult, ...]
     shared_classes: tuple[SharedClassResult, ...]
-    overall: str  # "Minimal" | "Unknown"
-    axioms_used: tuple[str, ...]
+
+    @property
+    def overall(self) -> str:
+        """Minimal when every shared class is certified, else Unknown."""
+        certified = all(s.certificate is not None for s in self.shared_classes)
+        return "Minimal" if certified else "Unknown"
+
+    @property
+    def axioms_used(self) -> tuple[str, ...]:
+        """The axioms the found certificates rest on, sorted."""
+        axioms: set[str] = set()
+        for result in (*self.deletions, *self.shared_classes):
+            cert = result.certificate
+            if cert is not None:
+                axioms.add(AXIOM_LINES if cert.base_rule == "PureLinesAtMost9" else AXIOM_BASE)
+                if cert.order:
+                    axioms.add(AXIOM_ORDERING)
+        return tuple(sorted(axioms))
 
 
 def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
@@ -274,28 +290,10 @@ def minimality_check(a1: Arrangement, a2: Arrangement) -> MinimalityReport:
         for cls in bucket
     ]
     shared.sort(key=lambda s: (len(s.representative), s.representative))
-    return MinimalityReport(
-        deletions=tuple(deletions),
-        shared_classes=tuple(shared),
-        overall="Minimal" if all(s.certificate is not None for s in shared) else "Unknown",
-        axioms_used=_axioms_used(d.certificate for d in (*deletions, *shared)),
-    )
+    return MinimalityReport(tuple(deletions), tuple(shared))
 
 
-def _axioms_used(certificates: Iterable[OrderingCertificate | None]) -> tuple[str, ...]:
-    """The axioms the found certificates rest on, sorted."""
-    axioms: set[str] = set()
-    for cert in certificates:
-        if cert is not None:
-            axioms.add(AXIOM_LINES if cert.base_rule == "PureLinesAtMost9" else AXIOM_BASE)
-            if cert.order:
-                axioms.add(AXIOM_ORDERING)
-    return tuple(sorted(axioms))
-
-
-def minimality_report_text(
-    report: MinimalityReport, name1: str = "arrangement 1", name2: str = "arrangement 2"
-) -> str:
+def minimality_report_text(report: MinimalityReport, name1: str, name2: str) -> str:
     lines = ["minimality report"]
     lines.append(f"  pair: {name1} / {name2}")
     lines.append("  single-component deletions:")

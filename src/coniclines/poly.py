@@ -11,8 +11,9 @@ and report uses it, so exact outputs are reproducible byte for byte.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .linalg import QVector, primitive
 
@@ -82,22 +83,20 @@ class ProjPoint(tuple):
         return f"[{' : '.join(digits(c) for c in self)}]"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class HomPoly:
     """Homogeneous polynomial of fixed degree, dense coefficient vector."""
 
-    __slots__ = ("degree", "coeffs")
+    degree: int
+    coeffs: tuple
 
-    def __init__(self, degree: int, coeffs: Iterable):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != monomial_count(degree):
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if len(self.coeffs) != monomial_count(self.degree):
             raise ValueError(
-                f"degree {degree} needs {monomial_count(degree)} coefficients, got {len(coeffs)}"
+                f"degree {self.degree} needs {monomial_count(self.degree)} coefficients, "
+                f"got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomPoly is immutable")
 
     @classmethod
     def from_terms(cls, degree: int, terms: Mapping[tuple[int, int, int], object]) -> "HomPoly":
@@ -121,16 +120,6 @@ class HomPoly:
         """Coefficients scaled to coprime integers, first nonzero positive; self if they are."""
         coeffs = primitive(self.coeffs)  # the same tuple when it is primitive already
         return self if coeffs is self.coeffs else HomPoly(self.degree, coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomPoly)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
 
     def __repr__(self):
         return f"HomPoly({self.degree}, {self})"

@@ -139,8 +139,12 @@ class SplitAnalysis:
     c_degree: int
     intersection_points: tuple[ProjPoint, ...]
     kernel: tuple[QVector, ...]
-    connected: int
     witness: HomPoly | None
+
+    @property
+    def connected(self) -> int:
+        """2 exactly when a witness curve exists."""
+        return 1 if self.witness is None else 2
 
 
 def analyze_split(
@@ -167,13 +171,13 @@ def analyze_split(
     kernel = through_points(n, report.intersection_points)
     # a higher-degree component divides no degree-n form
     forms = [comp.form for comp in map(a.component, c) if comp.degree <= n]
-    value, witness = 1, None
+    witness = None
     # every curve of the system contains a component exactly when one
     # component divides every basis vector of the kernel
     if kernel and all(any(not divides(f, v, n) for v in kernel) for f in forms):
-        value, witness = 2, _find_witness(n, kernel, forms)
+        witness = _find_witness(n, kernel, forms)
     return SplitAnalysis(
-        b, c, b_degree, a.degree_of(c), report.intersection_points, kernel, value, witness
+        b, c, b_degree, a.degree_of(c), report.intersection_points, kernel, witness
     )
 
 
@@ -202,14 +206,29 @@ class ZariskiCertificate:
     numbers differ.  The connected numbers are those of `analyses`.  The
     topological conclusion additionally relies on the cited invariance
     statement `INVARIANCE_AXIOM`, which the report lists rather than
-    recomputes.
+    recomputes.  The verdict and its reasons are derived from the evidence.
     """
 
     equivalence_count: int
-    split_rigid: bool
+    split_rigid: bool  # false when no equivalence was found
     analyses: tuple[SplitAnalysis, SplitAnalysis]
-    conclusion: str  # "CandidatePair" | "Inconclusive"
-    reasons: tuple[str, ...]
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """Why the pair is not a candidate, in pipeline order; empty when it is."""
+        reasons = []
+        if not self.equivalence_count:
+            reasons.append("the arrangements are combinatorially distinct")
+        elif not self.split_rigid:
+            reasons.append("some equivalence does not preserve the (B, C) split")
+        v1, v2 = (an.connected for an in self.analyses)
+        if v1 == v2:
+            reasons.append(f"connected numbers agree ({v1} = {v2})")
+        return tuple(reasons)
+
+    @property
+    def conclusion(self) -> str:
+        return "Inconclusive" if self.reasons else "CandidatePair"
 
 
 def zariski_certificate(
@@ -227,43 +246,21 @@ def zariski_certificate(
     report1 = check_hypotheses(comb1, b1, c1)
     report2 = check_hypotheses(comb2, b2, c2)
     eqs = equivalences(comb1, comb2)
-    found = bool(eqs)
-    reasons: list[str] = []
-    if not found:
-        reasons.append("the arrangements are combinatorially distinct")
-
-    rigid = found and eqs.map_onto(c1, c2)
-    if found and not rigid:
-        reasons.append("some equivalence does not preserve the (B, C) split")
-
+    rigid = bool(eqs) and eqs.map_onto(c1, c2)
     an1 = analyze_split(a1, b1, c1, report1)
     an2 = analyze_split(a2, b2, c2, report2)
-    values = (an1.connected, an2.connected)
-    if values[0] == values[1]:
-        reasons.append(f"connected numbers agree ({values[0]} = {values[1]})")
-
-    conclusion = (
-        "CandidatePair" if found and rigid and values[0] != values[1] else "Inconclusive"
-    )
-    return ZariskiCertificate(
-        equivalence_count=len(eqs),
-        split_rigid=rigid,
-        analyses=(an1, an2),
-        conclusion=conclusion,
-        reasons=tuple(reasons),
-    )
+    return ZariskiCertificate(len(eqs), rigid, (an1, an2))
 
 
-def certificate_report(
-    cert: ZariskiCertificate, name1: str = "arrangement 1", name2: str = "arrangement 2"
-) -> str:
+def certificate_report(cert: ZariskiCertificate, name1: str, name2: str) -> str:
     """Stable text form of a certificate, for the CLI and golden files."""
     lines = ["zariski certificate"]
     for name, an in ((name1, cert.analyses[0]), (name2, cert.analyses[1])):
         lines.append(f"  {name}:")
         lines.append(f"    B = {{{', '.join(an.b_labels)}}}  (degree {an.b_degree})")
         lines.append(f"    C = {{{', '.join(an.c_labels)}}}  (degree {an.c_degree})")
-        lines.append(f"    B ∩ C: {len(an.intersection_points)} rational points")
+        count = len(an.intersection_points)
+        lines.append(f"    B ∩ C: {count} rational point{'' if count == 1 else 's'}")
         lines.append(
             f"    curves of degree {an.b_degree // 2} through them: "
             f"projective dimension {len(an.kernel) - 1}"

@@ -413,6 +413,42 @@ def test_zariski_self_exit_3(capsys):
     assert "conclusion: Inconclusive" in out
 
 
+# three lines through [0 : 0 : 1]: B ∩ C is that one point, and the
+# automorphisms permute all three lines, so none keeps L3 on the C side
+CONCURRENT = "line L1 : 1 0 0\nline L2 : 0 1 0\nline L3 : 1 1 0\ncurve B = L1 L2\ncurve CC = L3\n"
+
+
+@pytest.mark.parametrize(
+    "files, reasons",
+    [
+        ((P1B1, P2B1), ["the arrangements are combinatorially distinct"]),
+        (
+            ("concurrent", "concurrent"),
+            [
+                "some equivalence does not preserve the (B, C) split",
+                "connected numbers agree (2 = 2)",
+            ],
+        ),
+        ((P1B1, P1B1), ["connected numbers agree (2 = 2)"]),
+    ],
+    ids=["distinct", "not-rigid", "agree"],
+)
+def test_zariski_states_every_inconclusive_reason(capsys, tmp_path, files, reasons):
+    concurrent = tmp_path / "concurrent.txt"
+    concurrent.write_text(CONCURRENT)
+    code, out, _ = run(
+        capsys,
+        "zariski",
+        *(str(concurrent) if f == "concurrent" else f for f in files),
+        "--branch1", "B", "--curve1", "CC", "--branch2", "B", "--curve2", "CC",
+    )
+    assert code == 3
+    assert "  conclusion: Inconclusive\n" in out
+    assert re.findall(r"^    reason: (.*)$", out, re.MULTILINE) == reasons
+    if "concurrent" in files:
+        assert out.count("\n    B ∩ C: 1 rational point\n") == 2
+
+
 def test_zariski_split_error_precedes_hypothesis_violation(capsys, tmp_path):
     # split 1 has an odd B (a hypothesis violation, exit 2); split 2 leaves
     # L3 out of B and C (a split error, exit 1); the split error wins

@@ -416,7 +416,7 @@ def test_zariski_certificate_pair1(pair1_b1, pair1_b2):
     assert cert.equivalence_count > 0 and cert.split_rigid
     assert connected_numbers(cert) == (2, 1)
     assert "invariance" in INVARIANCE_AXIOM
-    assert certificate_report(cert).endswith(f"  axioms used:\n    - {INVARIANCE_AXIOM}\n")
+    assert certificate_report(cert, "a", "b").endswith(f"  axioms used:\n    - {INVARIANCE_AXIOM}\n")
 
 
 def test_zariski_certificate_pair2(pair2_b1, pair2_b2):

@@ -15,13 +15,16 @@ And every name a module of the package imports is used in it, if only in
 an annotation; `__init__.py` imports to export.
 
 Its values are immutable: every class it defines is an exception, a frozen
-dataclass or a tuple, bar two listed ones, and each kind of value refuses
-a write.
+dataclass or a tuple, bar the one listed class, and each kind of value
+refuses a write.  Its results survive `pickle` and `copy.deepcopy`, so a
+process pool can return them.
 """
 
 import ast
+import copy
 import dataclasses
 import importlib
+import pickle
 from pathlib import Path
 
 import pytest
@@ -29,9 +32,11 @@ import pytest
 import coniclines
 from coniclines import combinatorics, equivalences, parse
 from coniclines.incidence import classify
-from coniclines.poly import ProjPoint
+from coniclines.moduli import minimality_check
+from coniclines.poly import HomPoly, ProjPoint
+from coniclines.splitting import analyze_split, zariski_certificate
 
-from .conftest import generic_lines
+from .conftest import generic_lines, load
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "coniclines").glob("*.py"))
@@ -119,7 +124,6 @@ def test_every_import_is_used():
 
 # the classes that are neither exceptions, frozen dataclasses nor tuples
 MUTABLE_BY_DESIGN = {
-    "HomPoly",  # its `__setattr__` refuses every write
     "_Canvas",  # private to `render_svg`, built once per call and never handed out
 }
 
@@ -174,3 +178,22 @@ MUTATIONS = {
 def test_values_refuse_mutation(mutate):
     with pytest.raises((AttributeError, TypeError)):
         mutate()
+
+
+P1, P2 = load("pair1_B1"), load("pair1_B2")
+SPLIT = (P1.subcurve("B"), P1.subcurve("CC"))
+RESULTS = {
+    "form": lambda: HomPoly(2, (1, 0, 0, 1, 0, -1)),
+    "component": lambda: P1.components[0],
+    "combinatorics": lambda: combinatorics(P1),
+    "split": lambda: analyze_split(P1, *SPLIT),
+    "zariski": lambda: zariski_certificate(P1, P2, ("B", "CC"), ("B", "CC")),
+    "minimality": lambda: minimality_check(P1, P2),
+}
+
+
+@pytest.mark.parametrize("build", RESULTS.values(), ids=list(RESULTS))
+def test_results_round_trip(build):
+    value = build()
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
