@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .arrangement import Arrangement, Component
-from .linalg import primitive
 from .poly import ProjPoint, cross, restrict_to_line
-
-Coords = tuple[int, int, int]  # primitive, first nonzero coordinate positive
 
 
 @dataclass(frozen=True)
@@ -42,38 +39,38 @@ class ConjugatePair:
     conic: str
 
 
-def intersect_lines(l1: Component, l2: Component) -> Coords:
+def intersect_lines(l1: Component, l2: Component) -> ProjPoint:
     """The unique common point of two non-proportional lines (cross product)."""
     if l1.kind != "line" or l2.kind != "line":
         raise ValueError("intersect_lines expects two lines")
     point = cross(l1.form.coeffs, l2.form.coeffs)
     if not any(point):
         raise ValueError(f"lines {l1.label} and {l2.label} are proportional")
-    return primitive(point)
+    return ProjPoint(*point)
 
 
-def _line_points(line: Component) -> tuple[Coords, Coords]:
+def _line_points(line: Component) -> tuple[ProjPoint, ProjPoint]:
     """Two canonical integer coordinate vectors spanning the line a*x + b*y + c*z.
 
     The kernel basis of the row (a, b, c) in closed form: one vector per
-    free column, each primitive with first nonzero entry positive.
+    free column, each a `ProjPoint`.
     """
     a, b, c = line.form.coeffs
     if a:
-        return primitive((-b, a, 0)), primitive((-c, 0, a))
-    return (1, 0, 0), primitive((0, -c, b))
+        return ProjPoint(-b, a, 0), ProjPoint(-c, 0, a)
+    return ProjPoint(1, 0, 0), ProjPoint(0, -c, b)
 
 
 def intersect_line_conic(
     line: Component, conic: Component
-) -> tuple[tuple[Coords, int], ...] | ConjugatePair:
+) -> tuple[tuple[ProjPoint, int], ...] | ConjugatePair:
     """line ∩ conic as (point, local multiplicity) pairs, or a conjugate pair.
 
     Parameterize the line by s*P0 + t*P1 and restrict the conic to a binary
     quadratic A s^2 + B s t + C t^2; then Δ = B^2 - 4AC decides: 0 is a
     tangency, one point of multiplicity 2; a nonzero square gives two
     rational points of multiplicity 1, sorted; anything else a conjugate
-    pair.  Points are primitive coordinate triples.
+    pair.
     """
     if line.kind != "line" or conic.kind != "conic":
         raise ValueError("intersect_line_conic expects a line and a conic")
@@ -81,8 +78,8 @@ def intersect_line_conic(
     A, B, C = restrict_to_line(conic.form, p0, p1)
     disc = B * B - 4 * A * C
 
-    def point_at(s: int, t: int) -> Coords:
-        return primitive((s * p0[0] + t * p1[0], s * p0[1] + t * p1[1], s * p0[2] + t * p1[2]))
+    def point_at(s: int, t: int) -> ProjPoint:
+        return ProjPoint(s * p0[0] + t * p1[0], s * p0[1] + t * p1[1], s * p0[2] + t * p1[2])
 
     if disc == 0:
         if A == 0:
@@ -144,16 +141,23 @@ PairMults = tuple[tuple[tuple[str, str], int], ...]
 
 @dataclass(frozen=True)
 class SingularPoint:
-    """A singular point of the arrangement with its local data.
+    """A singular point: its location and its pair table, sorted by pair.
 
-    The two nodes of a conjugate pair are two equal records, each with the
-    ConjugatePair as its location and the same rational data.
+    The branches and the local type follow from the pair table.  The two
+    nodes of a conjugate pair are two equal records, each with the
+    ConjugatePair as its location.
     """
 
     location: ProjPoint | ConjugatePair
-    branches: frozenset[str]
     pair_mults: PairMults
-    local_type: LocalType
+    branches: frozenset[str] = field(init=False, compare=False)
+    local_type: LocalType = field(init=False, compare=False)
+
+    def __post_init__(self):
+        pairs, signature = zip(*self.pair_mults)
+        branches = frozenset(itertools.chain.from_iterable(pairs))
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "local_type", classify(len(branches), tuple(sorted(signature))))
 
     def mult(self, a: str, b: str) -> int:
         key = (a, b) if a <= b else (b, a)
@@ -166,29 +170,21 @@ class SingularPoint:
     def is_rational(self) -> bool:
         return isinstance(self.location, ProjPoint)
 
-    def mapped_key(self, mapping: dict[str, str]) -> tuple:
-        """Coordinate-free image of the point under a relabelling."""
+    def mapped_key(self, mapping: dict[str, str]) -> PairMults:
+        """Coordinate-free image of the point under a relabelling: its sorted pair table."""
         mults = []
         for (x, y), m in self.pair_mults:
             x, y = mapping[x], mapping[y]
             mults.append(((x, y) if x <= y else (y, x), m))
         mults.sort()
-        branches = tuple(sorted([mapping[l] for l in self.branches]))
-        return (self.local_type, branches, tuple(mults))
+        return tuple(mults)
 
     def restrict(self, keep: frozenset[str]) -> SingularPoint | None:
         """The same point on the sub-arrangement `keep`; None if it is smooth there."""
         if keep.issuperset(self.branches):
             return self
-        mults = {pair: m for pair, m in self.pair_mults if keep.issuperset(pair)}
-        return _point(self.location, mults) if mults else None
-
-
-def _point(location, mults: dict[tuple[str, str], int]) -> SingularPoint:
-    """The point with these pairwise multiplicities; branches and type follow from them."""
-    branches = frozenset(itertools.chain.from_iterable(mults))
-    local_type = classify(len(branches), tuple(sorted(mults.values())))
-    return SingularPoint(location, branches, tuple(sorted(mults.items())), local_type)
+        mults = tuple([item for item in self.pair_mults if keep.issuperset(item[0])])
+        return SingularPoint(self.location, mults) if mults else None
 
 
 def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
@@ -199,7 +195,7 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     ordered by labels, two equal records each.  Commands reach them
     through `combinatorics`.
     """
-    by_point: dict[Coords, dict[tuple[str, str], int]] = {}
+    by_point: dict[ProjPoint, dict[tuple[str, str], int]] = {}
     conjugates: list[ConjugatePair] = []
     lines, conic = a.lines, a.conic
     for l1, l2 in itertools.combinations(lines, 2):
@@ -217,7 +213,7 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     points: list[SingularPoint] = []
     for p in sorted(by_point):
         mults = by_point[p]
-        pt = _point(ProjPoint(*p), mults)
+        pt = SingularPoint(p, tuple(sorted(mults.items())))
         # two components through the same rational point always have their
         # intersection recorded there, so the pair table holds every pair
         n = len(pt.branches)
@@ -227,7 +223,7 @@ def singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
             raise AssertionError(f"missing pair multiplicity for {x}, {y} at {pt.location}")
         points.append(pt)
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
-        pt = _point(cj, {tuple(sorted((cj.line, cj.conic))): 1})
+        pt = SingularPoint(cj, ((tuple(sorted((cj.line, cj.conic))), 1),))
         points += (pt, pt)
     return tuple(points)
 
@@ -251,17 +247,16 @@ def bezout_check(comb: Combinatorics) -> bool:
 
 
 class PointFacts(NamedTuple):
-    """A point record with its entries in the facts `Combinatorics` caches."""
+    """A point record with its entries in the fingerprints and pair profiles of `Combinatorics`."""
 
     record: SingularPoint
     fingerprint: tuple[tuple[str, tuple], ...]  # (label, entry) per branch
     profile: tuple[tuple[tuple[str, str], tuple], ...]  # (pair, entry) per pair
-    key: tuple  # the entry in `record_keys`
 
 
 def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
     key = rec.local_type
-    labels = tuple(sorted(rec.branches))
+    labels = sorted(rec.branches)
     degrees = sorted([degree[l] for l in labels])
     fingerprint = []
     for l in labels:  # the other branches' degrees: all of them less one of l's
@@ -269,7 +264,7 @@ def _point_facts(rec: SingularPoint, degree: dict[str, int]) -> PointFacts:
         others.remove(degree[l])
         fingerprint.append((l, (key, tuple(others))))
     profile = tuple([(pair, (key, m, len(labels))) for pair, m in rec.pair_mults])
-    return PointFacts(rec, tuple(fingerprint), profile, (key, labels, rec.pair_mults))
+    return PointFacts(rec, tuple(fingerprint), profile)
 
 
 @dataclass(frozen=True)
@@ -278,14 +273,15 @@ class Combinatorics:
 
     `points` lists `singular_points` in their canonical order, one record
     per point.  The points keep their locations, but equivalence reads
-    only labels, local types and multiplicities: two projectively
-    equivalent arrangements give structures equal up to a bijection of
-    labels, which `equivalences` searches for.  A sub-arrangement's
-    structure is the restriction of the whole one.
+    only degrees and pair tables: two projectively equivalent arrangements
+    give structures equal up to a bijection of labels, which
+    `equivalences` searches for.  A sub-arrangement's structure is the
+    restriction of the whole one.
 
     `facts` holds each point's `PointFacts`, built on first use: a
-    restriction is handed the facts of its points.  `fingerprints`,
-    `pair_profiles` and `record_keys` are sorts of those entries.
+    restriction is handed the facts of its points.  `fingerprints` and
+    `pair_profiles` are sorts of those entries, `record_keys` the sorted
+    pair tables.
     """
 
     degrees: tuple[tuple[str, int], ...]
@@ -326,9 +322,9 @@ class Combinatorics:
         return {k: tuple(sorted(v)) for k, v in profiles.items()}
 
     @cached_property
-    def record_keys(self) -> tuple:
+    def record_keys(self) -> tuple[PairMults, ...]:
         """`_record_multiset` of the identity labelling: the target of the leaf checks."""
-        return tuple(sorted(f.key for f in self.facts))
+        return tuple(sorted(pt.pair_mults for pt in self.points))
 
     @cached_property
     def _restrictions(self) -> dict[tuple[int, frozenset[str]], PointFacts]:
@@ -410,11 +406,12 @@ def equivalences(c1: Combinatorics, c2: Combinatorics, find_all: bool = True) ->
     """The label bijections carrying c1's incidence structure onto c2's.
 
     Backtracking over fingerprint-compatible candidates with pairwise
-    profile pruning, then a full multiset check at the leaves, finds the
-    first equivalence φ.  Then, level by level, one search per further
-    image of the level's label, with φ fixed before it, finds each ψ and so
-    the automorphism φ⁻¹∘ψ.  With `find_all` false the result is φ alone
-    (`len` 1).  A falsy result means the structures are not equivalent.
+    profile pruning, then a check at the leaves that the relabelled pair
+    tables are c2's, finds the first equivalence φ.  Then, level by level,
+    one search per further image of the level's label, with φ fixed before
+    it, finds each ψ and so the automorphism φ⁻¹∘ψ.  With `find_all` false
+    the result is φ alone (`len` 1).  A falsy result means the structures
+    are not equivalent.
     """
     fp1, fp2 = c1.fingerprints, c2.fingerprints
     # equal fingerprint multisets also give equal degrees and point types

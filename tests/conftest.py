@@ -109,7 +109,9 @@ def reference_singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
     The reference that `singular_points` is compared against: a `ProjPoint`
     per intersection, merged by `ProjPoint` equality; a line meets the conic
     along the kernel basis of its row, and the conic is restricted to it by
-    evaluating q(u), q(w) and q(u + w) term by term.
+    evaluating q(u), q(w) and q(u + w) term by term.  Each point's branch
+    set and local type are computed here too, and checked against the
+    ones its record derives from its pair table.
     """
     by_point: dict[ProjPoint, dict[tuple[str, str], int]] = {}
     conjugates = []
@@ -138,11 +140,13 @@ def reference_singular_points(a: Arrangement) -> tuple[SingularPoint, ...]:
         mults = by_point[p]
         branches = frozenset(l for pair in mults for l in pair)
         local_type = classify(len(branches), tuple(sorted(mults.values())))
-        records.append(SingularPoint(p, branches, tuple(sorted(mults.items())), local_type))
+        records.append(SingularPoint(p, tuple(sorted(mults.items()))))
+        assert (records[-1].branches, records[-1].local_type) == (branches, local_type)
     for cj in sorted(conjugates, key=lambda c: (c.line, c.conic)):
         pair = tuple(sorted((cj.line, cj.conic)))
         # one record per point: the two conjugate nodes
-        records += [SingularPoint(cj, frozenset(pair), ((pair, 1),), classify(2, (1,)))] * 2
+        records += [SingularPoint(cj, ((pair, 1),))] * 2
+        assert (records[-1].branches, records[-1].local_type) == (frozenset(pair), classify(2, (1,)))
     return tuple(records)
 
 
@@ -179,7 +183,7 @@ def scratch_facts(c: Combinatorics) -> tuple:
             entries[l].append((rec.local_type, others))
         for pair, m in rec.pair_mults:
             profiles.setdefault(pair, []).append((rec.local_type, m, len(rec.branches)))
-    keys = sorted((r.local_type, tuple(sorted(r.branches)), r.pair_mults) for r in c.points)
+    keys = sorted(r.pair_mults for r in c.points)
     return (
         {l: (d, tuple(sorted(entries[l]))) for l, d in degree.items()},
         {k: tuple(sorted(v)) for k, v in profiles.items()},
@@ -366,18 +370,24 @@ def every_bijection(c1: Combinatorics, c2: Combinatorics) -> list[dict[str, str]
 
     The reference that `equivalences` is compared against: every
     permutation of c2's labels, kept when it preserves degrees and maps
-    c1's record multiset onto c2's; no fingerprints, no pruning.  Sorted
-    as `equivalences` sorts.
+    c1's records onto c2's, each record read as its relabelled (local
+    type, branches, pair table); no fingerprints, no pruning.  Sorted as
+    `equivalences` sorts.
     """
     if len(c1.labels) != len(c2.labels):
         return []
-    target = sorted(rec.mapped_key({l: l for l in c2.labels}) for rec in c2.points)
+
+    def image(rec: SingularPoint, m: dict[str, str]) -> tuple:
+        pairs = sorted((tuple(sorted((m[x], m[y]))), k) for (x, y), k in rec.pair_mults)
+        return (rec.local_type, tuple(sorted(m[l] for l in rec.branches)), tuple(pairs))
+
+    target = sorted(image(rec, {l: l for l in c2.labels}) for rec in c2.points)
     degree1, degree2 = dict(c1.degrees), dict(c2.degrees)
     found = []
     for images in itertools.permutations(c2.labels):
         m = dict(zip(c1.labels, images))
         if all(degree1[l] == degree2[m[l]] for l in c1.labels) and (
-            sorted(rec.mapped_key(m) for rec in c1.points) == target
+            sorted(image(rec, m) for rec in c1.points) == target
         ):
             found.append(m)
     return sorted(found, key=lambda m: tuple(m[l] for l in c1.labels))

@@ -27,6 +27,8 @@ CASES = {
     ],
     "minimality_pair1.txt": ["minimality", "data/pair1_B1.txt", "data/pair1_B2.txt"],
     "split_pair1_B1.txt": ["split", "data/pair1_B1.txt", "--branch", "B", "--curve", "CC"],
+    "compare_pair1.txt": ["compare", "data/pair1_B1.txt", "data/pair1_B2.txt"],
+    "compare_pair2.txt": ["compare", "data/pair2_B1.txt", "data/pair2_B2.txt"],
 }
 
 

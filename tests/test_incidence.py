@@ -120,6 +120,29 @@ def test_line_conic_conjugate_pair():
     assert out.discriminant == Fraction(-12)
 
 
+PARABOLA = Component("P", conic_form([0, -1, 0, 0, 1, 0]))  # xz - y^2 passes [1 : 0 : 0]
+# the lines meet at (0, -10, 2) before scaling; the conic's restriction to
+# y = z and to z = 0 has A = 0, so the point (1, 0, 0) is a root
+INTERSECTIONS = {
+    "lines": lambda: [intersect_lines(L4, Component("M", HomPoly(1, [1, 0, 0])))],
+    "two-points": lambda: [p for p, _ in intersect_line_conic(L3, CONIC)],
+    "two-points-A0": lambda: [
+        p for p, _ in intersect_line_conic(Component("M", HomPoly(1, [0, 1, -1])), PARABOLA)
+    ],
+    "tangency": lambda: [p for p, _ in intersect_line_conic(L1, CONIC)],
+    "tangency-A0": lambda: [
+        p for p, _ in intersect_line_conic(Component("M", HomPoly(1, [0, 0, 1])), PARABOLA)
+    ],
+}
+
+
+@pytest.mark.parametrize("points", INTERSECTIONS.values(), ids=list(INTERSECTIONS))
+def test_intersections_are_built_as_projpoints(points):
+    for p in points():
+        assert isinstance(p, ProjPoint)
+        assert math.gcd(*p) == 1 and next(filter(None, p)) > 0
+
+
 def test_tangency_golden():
     mults = [[m for _, m in intersect_line_conic(l, CONIC)] for l in (L1, L2, L3)]
     assert mults == [[2], [2], [1, 1]]
@@ -426,8 +449,8 @@ def test_singular_point_restrict():
     a = Arrangement((CONIC, L1, extra), {})
     (pt,) = [p for p in singular_points(a) if len(p.branches) == 3]
     tac = pt.restrict(frozenset(("C", "L1")))
-    tacnode = classify(2, (2,))
-    assert tac == SingularPoint(pt.location, frozenset(("C", "L1")), ((("C", "L1"), 2),), tacnode)
+    assert tac == SingularPoint(pt.location, ((("C", "L1"), 2),))
+    assert (tac.branches, tac.local_type) == (frozenset(("C", "L1")), classify(2, (2,)))
     assert pt.restrict(frozenset(("L1", "M"))).local_type.kind == "node"
     assert pt.restrict(frozenset(("C", "L2"))) is None
     assert pt.restrict(pt.branches) == pt

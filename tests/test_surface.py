@@ -168,6 +168,7 @@ MUTATIONS = {
     "form": lambda: setattr(A.components[0].form, "coeffs", (1, 0, 0)),
     "component": lambda: setattr(A.components[0], "label", "X"),
     "local-type": lambda: setattr(classify(2, (1,)), "branch_count", 3),
+    "record": lambda: setattr(combinatorics(A).points[0], "pair_mults", ()),
     "subcurves": lambda: A.subcurves.__setitem__("X", ("nope",)),
     "phi": lambda: EQS.phi.__setitem__("L1", "L2"),
     "generator": lambda: EQS.generators[0].__setitem__("L1", "L2"),
@@ -182,9 +183,20 @@ def test_values_refuse_mutation(mutate):
 
 P1, P2 = load("pair1_B1"), load("pair1_B2")
 SPLIT = (P1.subcurve("B"), P1.subcurve("CC"))
+
+
+def read_record():
+    """A triple point restricted to a node, its derived branches and type read."""
+    triple = next(pt for pt in combinatorics(P1).points if len(pt.branches) == 3)
+    node = triple.restrict(frozenset(sorted(triple.branches)[:2]))
+    assert node.local_type.kind == "node" and len(node.branches) == 2
+    return node
+
+
 RESULTS = {
     "form": lambda: HomPoly(2, (1, 0, 0, 1, 0, -1)),
     "component": lambda: P1.components[0],
+    "record": read_record,
     "combinatorics": lambda: combinatorics(P1),
     "split": lambda: analyze_split(P1, *SPLIT),
     "zariski": lambda: zariski_certificate(P1, P2, ("B", "CC"), ("B", "CC")),
